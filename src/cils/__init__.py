@@ -27,9 +27,7 @@ from .dioph import (
     Alphabet,
     DiophStats,
     IntVector,
-    SolutionTree,
     solve_diophantine_sparse,
-    solve_single_equation,
     tree_leaves,
 )
 from .harness import BenchRecord, GenSpec, GenerationError, generate_instance, run_bench
@@ -60,7 +58,6 @@ __all__ = [
     "OracleBudget",
     "ProblemInstance",
     "RowTreeBundle",
-    "SolutionTree",
     "SolveResult",
     "SolveStats",
     "SphereCandidate",
@@ -80,7 +77,6 @@ __all__ = [
     "solve",
     "solve_diophantine_sparse",
     "solve_ils_eq",
-    "solve_single_equation",
     "sphere_decode",
     "stack_independent",
     "tree_leaves",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
-from .spheredec import CandidateSets, babai_radius, sphere_decode
+from .spheredec import CandidateSets, babai_radius, rank_deficient, sphere_decode
 
 
 class InfeasibleError(Exception):
@@ -42,9 +42,9 @@ class ProblemInstance:
 
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
-    nonzeros, and X must have rank `target_rank` (= N).  `radius` optionally
-    fixes the initial sphere radius; when None a rounding-based radius is
-    derived per solve.
+    nonzeros, and X must have rank `target_rank` (= N).  G must have full
+    column rank, so M >= N.  `radius` optionally fixes the initial sphere
+    radius; when None a rounding-based radius is derived per solve.
     """
 
     Y: np.ndarray
@@ -76,6 +76,13 @@ class ProblemInstance:
             )
         if self.target_rank < 1:
             raise ValueError("target rank must be at least 1")
+        m, n = G.shape
+        if m < n:
+            raise ValueError(
+                f"G is {m}x{n}; it needs at least as many rows (measurements) as columns"
+            )
+        if rank_deficient(np.linalg.qr(G, mode="r"), m):
+            raise ValueError("G is numerically rank deficient; its columns must be independent")
         if self.target_rank > self.A.cols:
             raise ValueError(
                 f"target rank {self.target_rank} exceeds row length {self.A.cols}"
@@ -140,9 +147,6 @@ class RowTreeBundle:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def is_settled(self) -> bool:
-        return all(len(r) == 1 for r in self.rows)
 
 
 def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
@@ -269,11 +273,11 @@ def solve(instance: ProblemInstance) -> SolveResult:
     """
     t0 = time.perf_counter()
     stats = SolveStats()
-    tree, dstats = solve_diophantine_sparse(
+    paths, dstats = solve_diophantine_sparse(
         instance.A, instance.alphabet, instance.sparsity
     )
     stats.dioph_nodes = dstats.nodes_visited
-    feasible = tree_leaves(tree)
+    feasible = tree_leaves(paths)
     span_rank = int_rank(IntMatrix(tuple(feasible))) if feasible else 0
     if span_rank < instance.target_rank:
         raise InfeasibleError(
@@ -350,8 +354,8 @@ def solve_ils_eq(
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != G.shape[0]:
         raise ValueError(f"y has length {y.shape[0]}, expected {G.shape[0]}")
-    tree, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
-    feasible = tree_leaves(tree)
+    paths, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
+    feasible = tree_leaves(paths)
     if not feasible:
         raise InfeasibleError("no feasible vector exists", feasible_rank=0)
     if mode == "exact":

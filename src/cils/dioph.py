@@ -2,12 +2,12 @@
 
 Enumerates every x with A x = 0, all entries drawn from a finite integer
 alphabet, and at most a given number of nonzeros.  The system is first
-reduced to Hermite normal form; its rows are then applied bottom-up, so each
-row contributes exactly one pivot variable whose value is imputed by exact
-division, while the variables in between are expanded freely over the
-alphabet.  Partial assignments live in a rooted tree whose depth-d nodes
-carry the value of the d-th variable from the right; the nonzero budget is
-enforced on every partial path, which is what keeps the search small.
+reduced to Hermite normal form.  Partial assignments are flat paths over the
+trailing coordinates, stored right-to-left and extended one column at a time
+from the last column to the first: a column that is the pivot of an HNF row
+is imputed from that row by exact division, any other column is expanded
+freely over the alphabet.  The nonzero budget is enforced on every partial
+path, which is what keeps the search small.
 """
 
 from __future__ import annotations
@@ -45,78 +45,6 @@ class Alphabet:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-class TreeNode:
-    """One assigned value; children are ordered by ascending value."""
-
-    __slots__ = ("value", "children")
-
-    def __init__(self, value: int | None, children: list["TreeNode"] | None = None):
-        self.value = value
-        self.children = children if children is not None else []
-
-
-class SolutionTree:
-    """Rooted tree of partial assignments covering the trailing coordinates.
-
-    A tree of depth d over a length-L problem covers coordinates
-    L-d .. L-1 (0-based): the root's children hold coordinate L-1, their
-    children coordinate L-2, and so on.  Every root-to-leaf path has the
-    same length, and reading a path root-to-leaf then reversing it gives the
-    covered suffix in natural order.
-    """
-
-    def __init__(self, root: TreeNode | None = None, depth: int = 0):
-        self.root = root if root is not None else TreeNode(None)
-        self.depth = depth
-
-    @classmethod
-    def empty(cls) -> "SolutionTree":
-        return cls()
-
-    def paths(self) -> list[IntVector]:
-        """All full-depth root-to-leaf paths, in right-to-left assignment order."""
-        out: list[IntVector] = []
-        stack: list[tuple[TreeNode, tuple[int, ...]]] = [(self.root, ())]
-        while stack:
-            node, prefix = stack.pop()
-            if len(prefix) == self.depth:
-                if node is self.root or not node.children:
-                    out.append(prefix)
-                continue
-            for child in reversed(node.children):
-                stack.append((child, prefix + (child.value,)))
-        return out
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.paths())
-
-
-def _build_children(suffixes: list[IntVector]) -> list[TreeNode]:
-    groups: dict[int, list[IntVector]] = {}
-    for p in suffixes:
-        groups.setdefault(p[0], []).append(p[1:])
-    children = []
-    for v in sorted(groups):
-        child = TreeNode(v)
-        rest = [q for q in groups[v] if q]
-        if rest:
-            child.children = _build_children(rest)
-        children.append(child)
-    return children
-
-
-def _tree_from_states(states: list[_State], depth: int) -> SolutionTree:
-    root = TreeNode(None)
-    if depth > 0:
-        root.children = _build_children([path for path, _ in states])
-    return SolutionTree(root, depth)
-
-
-def _states_of_tree(tree: SolutionTree) -> list[_State]:
-    return [(path, sum(1 for v in path if v)) for path in tree.paths()]
 
 
 def _expand_free(states: list[_State], alphabet: Alphabet, max_nonzeros: int) -> tuple[list[_State], int]:
@@ -168,62 +96,6 @@ def _apply_pivot(
     return out, created
 
 
-def _filter_consistent(states: list[_State], h: IntVector, n_cols: int) -> list[_State]:
-    """Keep only paths already satisfying h . x = 0 (all support covered)."""
-    support = [(n_cols - 1 - c, h[c]) for c in range(n_cols) if h[c] != 0]
-    return [
-        (path, nz)
-        for path, nz in states
-        if sum(coeff * path[k] for k, coeff in support) == 0
-    ]
-
-
-def _check_equation_args(
-    h: IntVector, pivot_col: int, depth: int, alphabet: Alphabet, max_nonzeros: int
-) -> None:
-    n_cols = len(h)
-    if not 0 <= pivot_col < n_cols:
-        raise ValueError(f"pivot_col {pivot_col} out of range for length-{n_cols} equation")
-    if h[pivot_col] == 0:
-        raise ValueError("pivot coefficient must be nonzero")
-    if any(h[c] != 0 for c in range(pivot_col)):
-        raise ValueError("equation must have zero coefficients before the pivot")
-    if depth > n_cols:
-        raise ValueError(f"tree depth {depth} exceeds equation length {n_cols}")
-    if max_nonzeros < 0:
-        raise ValueError("nonzero budget must be nonnegative")
-
-
-def solve_single_equation(
-    h: IntVector,
-    partial_tree: SolutionTree,
-    pivot_col: int,
-    alphabet: Alphabet,
-    max_nonzeros: int,
-) -> SolutionTree:
-    """Fold one echelon equation h . x = 0 into a partial solution tree.
-
-    The input tree covers the trailing coordinates of h's index space.  If the
-    pivot lies left of the covered range, intermediate coordinates are first
-    expanded freely over the alphabet and the pivot coordinate is then imputed
-    by exact division, deepening the tree to cover it.  If the pivot is
-    already covered, the tree is only filtered for consistency with h.
-    """
-    h = tuple(int(v) for v in h)
-    _check_equation_args(h, pivot_col, partial_tree.depth, alphabet, max_nonzeros)
-    n_cols = len(h)
-    states = _states_of_tree(partial_tree)
-    target_depth = n_cols - pivot_col
-    depth = partial_tree.depth
-    if target_depth <= depth:
-        return _tree_from_states(_filter_consistent(states, h, n_cols), depth)
-    while depth < target_depth - 1:
-        states, _ = _expand_free(states, alphabet, max_nonzeros)
-        depth += 1
-    states, _ = _apply_pivot(states, h, pivot_col, n_cols, alphabet, max_nonzeros)
-    return _tree_from_states(states, target_depth)
-
-
 @dataclass(frozen=True)
 class DiophStats:
     """nodes_visited counts every candidate node examined, kept or pruned."""
@@ -234,14 +106,17 @@ class DiophStats:
 
 def solve_diophantine_sparse(
     A: IntMatrix, alphabet: Alphabet, max_nonzeros: int
-) -> tuple[SolutionTree, DiophStats]:
+) -> tuple[list[IntVector], DiophStats]:
     """Enumerate all x in S^L with A x = 0 and at most max_nonzeros nonzeros.
 
-    Reduces A to Hermite normal form and applies its rows bottom-up, so
-    pivots are met right-to-left.  The returned tree has depth L and its
-    leaves are exactly the feasible set; stats report the number of candidate
-    nodes examined (free expansions plus pivot imputations) and the leaf
-    count.  The zero vector is always feasible, so the tree is never empty
+    Reduces A to Hermite normal form and walks the columns from L-1 down to
+    0: a column that is the pivot of an HNF row is imputed from that row,
+    any other column is expanded over the alphabet.  HNF pivots strictly
+    increase, so each row is met once, after every column right of its pivot
+    is assigned.  Returns the surviving paths, each a solution stored
+    right-to-left (see tree_leaves), and stats with the number of candidate
+    nodes examined (free expansions plus pivot imputations) and the path
+    count.  The zero vector is always feasible, so there is always a path
     unless the alphabet excludes 0.
     """
     if max_nonzeros < 0:
@@ -252,39 +127,26 @@ def solve_diophantine_sparse(
         )
     n_cols = A.cols
     H = hermite_normal_form(A).H
-    states: list[_State] = [((), 0)]
-    depth = 0
-    visited = 0
-    for i in range(H.rows - 1, -1, -1):
+    pivot_rows: dict[int, IntVector] = {}
+    for i in range(H.rows):
         row = H.row(i)
         pivot_col = next((j for j, v in enumerate(row) if v != 0), None)
-        if pivot_col is None:
-            continue
-        target_depth = n_cols - pivot_col
-        if target_depth <= depth:
-            states = _filter_consistent(states, row, n_cols)
-            continue
-        while depth < target_depth - 1:
+        if pivot_col is not None:
+            pivot_rows[pivot_col] = row
+    states: list[_State] = [((), 0)]
+    visited = 0
+    for col in range(n_cols - 1, -1, -1):
+        if col in pivot_rows:
+            states, created = _apply_pivot(
+                states, pivot_rows[col], col, n_cols, alphabet, max_nonzeros
+            )
+        else:
             states, created = _expand_free(states, alphabet, max_nonzeros)
-            visited += created
-            depth += 1
-        states, created = _apply_pivot(states, row, pivot_col, n_cols, alphabet, max_nonzeros)
         visited += created
-        depth += 1
-    while depth < n_cols:
-        states, created = _expand_free(states, alphabet, max_nonzeros)
-        visited += created
-        depth += 1
-    tree = _tree_from_states(states, depth)
-    return tree, DiophStats(nodes_visited=visited, leaves=len(states))
+    paths = [path for path, _ in states]
+    return paths, DiophStats(nodes_visited=visited, leaves=len(paths))
 
 
-def tree_leaves(tree: SolutionTree) -> list[IntVector]:
-    """Full solutions stored in the tree, in natural coordinate order, sorted.
-
-    A depth-0 tree holds the neutral empty assignment, not a solution, so it
-    has no leaves.
-    """
-    if tree.depth == 0:
-        return []
-    return sorted(tuple(reversed(path)) for path in tree.paths())
+def tree_leaves(paths: list[IntVector]) -> list[IntVector]:
+    """Solutions from right-to-left paths, in natural coordinate order, sorted."""
+    return sorted(tuple(reversed(path)) for path in paths)

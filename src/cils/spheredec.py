@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +69,13 @@ def _as_vector(y, length: int) -> np.ndarray:
     return y
 
 
+def rank_deficient(R: np.ndarray, m: int) -> bool:
+    """True when the QR triangle R of an m-row matrix has a pivot at rounding level."""
+    diag = np.abs(np.diag(R))
+    tol = max(m, R.shape[1]) * np.finfo(float).eps * max(float(diag.max()), 1.0)
+    return float(diag.min()) <= tol
+
+
 def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full QR of a tall full-column-rank G with positive diagonal in R.
 
@@ -82,9 +89,7 @@ def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"need a tall matrix (rows >= cols >= 1), got {m}x{n}")
     Q, R_full = np.linalg.qr(G, mode="complete")
     R = R_full[:n, :].copy()
-    diag = np.abs(np.diag(R))
-    tol = max(m, n) * np.finfo(float).eps * max(float(diag.max()), 1.0)
-    if float(diag.min()) <= tol:
+    if rank_deficient(R, m):
         raise np.linalg.LinAlgError("matrix is numerically rank deficient")
     Q = Q.copy()
     flip = np.flatnonzero(np.diag(R) < 0)
@@ -168,13 +173,3 @@ def babai_radius(y, G, sets: CandidateSets) -> float:
     r = y - G @ np.array(snapped, dtype=float)
     r0 = math.sqrt(float(np.dot(r, r)))
     return r0 + 1e-9 * (1.0 + r0)
-
-
-def nearest_in_sets(x_real: Sequence[float], sets: CandidateSets) -> IntVector:
-    """Coordinate-wise snap of a real vector onto the candidate sets."""
-    if len(x_real) != len(sets):
-        raise ValueError(f"need {len(sets)} coordinates, got {len(x_real)}")
-    return tuple(
-        min(sets[i].values, key=lambda v: (abs(v - float(t)), v))
-        for i, t in enumerate(x_real)
-    )

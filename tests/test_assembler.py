@@ -53,6 +53,16 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=2)
 
+    def test_fewer_measurements_than_rows_rejected(self, ex_Y, ex_G, ex_A, s3):
+        with pytest.raises(ValueError, match="at least as many rows"):
+            ProblemInstance(Y=ex_Y[:2], G=ex_G[:2], A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
+
+    def test_rank_deficient_g_rejected(self, ex_Y, ex_G, ex_A, s3):
+        G = ex_G.copy()
+        G[:, 2] = G[:, 0] - 2.0 * G[:, 1]
+        with pytest.raises(ValueError, match="rank deficient"):
+            ProblemInstance(Y=ex_Y, G=G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
+
     def test_arrays_are_locked(self, ex_instance):
         with pytest.raises(ValueError):
             ex_instance.Y[0, 0] = 99.0
@@ -93,7 +103,7 @@ class TestPruningTrace:
         z3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets)
         assert z3[0].x == (-1, -1, 0)
         final = prune_with_column(bundle, 2, z3[0].x)
-        assert final.is_settled()
+        assert all(len(r) == 1 for r in final.rows)
         assert tuple(r[0] for r in final.rows) == X_A_ROWS
 
     def test_singleton_rows_are_never_pruned(self, ex_feasible):
@@ -173,7 +183,7 @@ class TestSolve:
         A = IntMatrix(((1, -1, 0), (0, 1, -1)))
         inst = ProblemInstance(
             Y=np.ones((3, 3)),
-            G=np.ones((3, 2)),
+            G=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
             A=A,
             alphabet=s3,
             sparsity=3,

@@ -94,6 +94,19 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         assert "sparsity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "Y, G, reason",
+        [
+            ([[1.0, -1.0]], [[1.0, 2.0]], "at least as many rows"),
+            ([[1.0, -1.0], [2.0, -2.0]], [[1.0, 2.0], [2.0, 4.0]], "rank deficient"),
+        ],
+    )
+    def test_degenerate_g_exits_1(self, tmp_path, tiny_doc, capsys, Y, G, reason):
+        tiny_doc.update(Y=Y, G=G, N=2)
+        path = write_instance(tmp_path / "bad.json", tiny_doc)
+        assert main(["solve", path]) == 1
+        assert reason in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 

@@ -15,14 +15,12 @@ from hypothesis import strategies as st
 from cils import (
     Alphabet,
     IntMatrix,
-    hermite_normal_form,
+    int_rank,
     oracle_F,
     solve_diophantine_sparse,
-    solve_single_equation,
     tree_leaves,
 )
-from cils.dioph import SolutionTree, _expand_free, _states_of_tree, _tree_from_states
-from conftest import A_ROWS, FEASIBLE_7, X_A_ROWS
+from conftest import FEASIBLE_7, X_A_ROWS
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -55,20 +53,38 @@ class TestAlphabet:
         assert 3 in s and -2 in s and 1 not in s
 
 
+def matrix(rows) -> IntMatrix:
+    return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def leaves_of(rows, alphabet, max_nonzeros):
+    return tree_leaves(solve_diophantine_sparse(matrix(rows), alphabet, max_nonzeros)[0])
+
+
+def random_rows(data, p_min, p_max, l_min, l_max, coeff):
+    p = data.draw(st.integers(min_value=p_min, max_value=p_max))
+    l = data.draw(st.integers(min_value=l_min, max_value=l_max))
+    return data.draw(
+        st.lists(
+            st.lists(st.integers(min_value=-coeff, max_value=coeff), min_size=l, max_size=l),
+            min_size=p,
+            max_size=p,
+        )
+    )
+
+
 class TestSingleEquation:
+    """One equation on its own, and one equation added to another."""
+
     def test_two_term_equation(self):
         # -18 x6 + 18 x7 = 0 forces x6 = x7
-        tree = solve_single_equation((-18, 18), SolutionTree.empty(), 0, S3, 4)
-        assert tree_leaves(tree) == [(-1, -1), (0, 0), (1, 1)]
+        assert leaves_of([(-18, 18)], S3, 2) == [(-1, -1), (0, 0), (1, 1)]
 
     def test_unit_equation(self):
-        tree = solve_single_equation((1,), SolutionTree.empty(), 0, S3, 4)
-        assert tree_leaves(tree) == [(0,)]
+        assert leaves_of([(1,)], S3, 1) == [(0,)]
 
     def test_extension_matches_brute_force(self):
-        base = solve_single_equation((-18, 18), SolutionTree.empty(), 0, S3, 4)
-        ext = solve_single_equation((0, 1, 0, 1, 0, -19, 21), base, 1, S3, 4)
-        got = tree_leaves(ext)
+        got = leaves_of([(1, 0, 1, 0, -19, 21), (0, 0, 0, 0, -18, 18)], S3, 4)
         base_pairs = {(-1, -1), (0, 0), (1, 1)}
         want = sorted(
             x
@@ -81,24 +97,7 @@ class TestSingleEquation:
 
     def test_budget_prunes_partial_paths(self):
         # with budget 0 only the all-zero assignment can survive
-        tree = solve_single_equation((-18, 18), SolutionTree.empty(), 0, S3, 0)
-        assert tree_leaves(tree) == [(0, 0)]
-
-    def test_consistency_mode_filters_covered_tree(self):
-        base = solve_single_equation((-18, 18), SolutionTree.empty(), 0, S3, 4)
-        filtered = solve_single_equation((1, -1), base, 0, S3, 4)
-        assert filtered.depth == base.depth
-        assert tree_leaves(filtered) == [(-1, -1), (0, 0), (1, 1)]
-        killed = solve_single_equation((1, 1), base, 0, S3, 4)
-        assert tree_leaves(killed) == [(0, 0)]
-
-    def test_zero_before_pivot_required(self):
-        with pytest.raises(ValueError):
-            solve_single_equation((1, 2), SolutionTree.empty(), 1, S3, 4)
-
-    def test_zero_pivot_rejected(self):
-        with pytest.raises(ValueError):
-            solve_single_equation((0, 1), SolutionTree.empty(), 0, S3, 4)
+        assert leaves_of([(-18, 18)], S3, 0) == [(0, 0)]
 
 
 class TestWorkedExample:
@@ -123,6 +122,11 @@ class TestWorkedExample:
     def test_matches_oracle(self, ex_A, s3):
         assert tree_leaves(solve_diophantine_sparse(ex_A, s3, 4)[0]) == oracle_F(ex_A, s3, 4)
 
+    def test_node_counts_pinned(self, ex_A, s3):
+        assert solve_diophantine_sparse(ex_A, s3, 4)[1].nodes_visited == 89
+        wide = Alphabet((-2, -1, 0, 1, 2))
+        assert solve_diophantine_sparse(ex_A, wide, 4)[1].nodes_visited == 343
+
 
 class TestSolveDiophantine:
     def test_single_sum_equation(self):
@@ -145,8 +149,7 @@ class TestSolveDiophantine:
         assert tree_leaves(tree) == []
 
     def test_empty_tree_has_no_leaves(self):
-        assert tree_leaves(SolutionTree.empty()) == []
-        assert tree_leaves(_tree_from_states([], 3)) == []
+        assert tree_leaves([]) == []
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -185,14 +188,16 @@ class TestSolveDiophantine:
         for v in leaves:
             assert tuple(-u for u in v) in leaves
 
-    def test_monotone_budget_pruning(self, ex_A, s3):
-        tree, _ = solve_diophantine_sparse(ex_A, s3, 4)
-        # every partial path must respect the nonzero budget
-        def walk(node, count):
-            assert count <= 4
-            for child in node.children:
-                walk(child, count + (child.value != 0))
-        walk(tree.root, 0)
+    @given(st.data())
+    @settings(max_examples=30)
+    def test_monotone_budget_pruning(self, data):
+        # budget 0 cuts every nonzero partial path at once: each free column
+        # examines |S| values and keeps only 0, each pivot column one imputation
+        A = matrix(random_rows(data, 1, 4, 2, 7, 4))
+        _, stats = solve_diophantine_sparse(A, S3, 0)
+        pivots = int_rank(A)
+        assert stats.nodes_visited == len(S3) * (A.cols - pivots) + pivots
+        assert stats.leaves == 1
 
     def test_node_count_grows_with_alphabet(self, ex_A):
         _, small = solve_diophantine_sparse(ex_A, S3, 4)
@@ -201,37 +206,15 @@ class TestSolveDiophantine:
 
 
 class TestEquationOrder:
-    """The leaf set must not depend on the order equations are folded in."""
+    """Neither the leaf set nor the work may depend on the order of A's rows."""
 
     @given(st.data())
     @settings(max_examples=20)
     def test_any_row_order_gives_same_leaves(self, data):
-        p = data.draw(st.integers(min_value=2, max_value=4))
-        l = data.draw(st.integers(min_value=3, max_value=6))
-        rows = data.draw(
-            st.lists(
-                st.lists(st.integers(min_value=-3, max_value=3), min_size=l, max_size=l),
-                min_size=p,
-                max_size=p,
-            )
-        )
-        A = IntMatrix(tuple(tuple(r) for r in rows))
-        k = data.draw(st.integers(min_value=1, max_value=l))
-        H = hermite_normal_form(A).H
-        ref = tree_leaves(solve_diophantine_sparse(A, S3, k)[0])
-        pivot_rows = [
-            (i, next(j for j, v in enumerate(H.row(i)) if v != 0))
-            for i in range(H.rows)
-            if any(H.row(i))
-        ]
-        order = data.draw(st.permutations(pivot_rows))
-        tree = SolutionTree.empty()
-        for i, pivot in order:
-            tree = solve_single_equation(H.row(i), tree, pivot, S3, k)
-        states = _states_of_tree(tree)
-        depth = tree.depth
-        while depth < l:
-            states, _ = _expand_free(states, S3, k)
-            depth += 1
-        got = sorted(tuple(reversed(path)) for path, _ in states)
-        assert got == ref
+        rows = random_rows(data, 2, 4, 3, 6, 3)
+        k = data.draw(st.integers(min_value=1, max_value=len(rows[0])))
+        shuffled = data.draw(st.permutations(rows))
+        ref, ref_stats = solve_diophantine_sparse(matrix(rows), S3, k)
+        got, got_stats = solve_diophantine_sparse(matrix(shuffled), S3, k)
+        assert tree_leaves(got) == tree_leaves(ref)
+        assert got_stats.nodes_visited == ref_stats.nodes_visited

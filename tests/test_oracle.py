@@ -101,8 +101,8 @@ class TestOracleSolve:
     def test_stack_budget_refusal(self, s3):
         # unconstrained A gives |F| = 3^5 = 243 rows; 243^3 stacks blow the cap
         inst = ProblemInstance(
-            Y=np.zeros((2, 5)),
-            G=np.ones((2, 3)),
+            Y=np.zeros((3, 5)),
+            G=np.eye(3),
             A=IntMatrix.zeros(1, 5),
             alphabet=s3,
             sparsity=5,
