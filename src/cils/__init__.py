@@ -35,6 +35,7 @@ from .intlin import HnfResult, IntMatrix, hermite_normal_form, int_det, int_rank
 from .oracle import BudgetExceededError, OracleBudget, oracle_F, oracle_solve, oracle_sphere
 from .spheredec import (
     CandidateSets,
+    PreparedLattice,
     SphereCandidate,
     babai_radius,
     qr_positive,
@@ -56,6 +57,7 @@ __all__ = [
     "IntMatrix",
     "IntVector",
     "OracleBudget",
+    "PreparedLattice",
     "ProblemInstance",
     "RowTreeBundle",
     "SolveResult",

@@ -8,24 +8,35 @@ The solve runs in two stages.  Stage one enumerates the feasible row set F
 once (see dioph).  Stage two keeps one copy of F per output row and walks the
 columns left to right: for each column it derives the per-row candidate
 values still consistent with the choices so far, sphere-decodes that column
-of Y against G inside the current radius, and recurses on each returned
-column vector after pruning the row sets.  Leaves are rank-checked exactly.
-If a radius yields nothing the radius grows by 1; once an incumbent exists
-the search prunes on accumulated distance and finishes with a confirming
-sweep at the incumbent's own radius when that is larger than the current one.
+of Y against G, and recurses on each returned column vector after pruning
+the row sets.  Leaves are rank-checked exactly.  G is QR-factored once per
+instance (ProblemInstance.lattice) and every decode reuses the factors.
+
+Branch and bound: LB(j) = sum over k >= j of ||Q2^T y_k||^2 is a lower bound
+on the cost of columns j.. of any X, since no X removes the part of a column
+outside G's span (it is 0 when G is square).  With the incumbent objective
+`best` and the cost `acc` of the columns fixed so far, column j is decoded at
+radius sqrt(min(d^2, best - acc - LB(j+1))) and a candidate is dropped once
+acc + dist2 + LB(j+1) reaches best.  If a radius d yields no leaf at all it
+grows by 1; once an incumbent exists, a confirming sweep at the incumbent's
+own radius runs when that is larger than d.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
-from .spheredec import CandidateSets, babai_radius, rank_deficient, sphere_decode
+from .spheredec import CandidateSets, PreparedLattice, babai_radius, sphere_decode
+
+# relative shrink of the suffix bound, so rounding in the per-column
+# distances never lets the bound discard a strict improvement
+BOUND_SLACK = 1e-9
 
 
 class InfeasibleError(Exception):
@@ -44,7 +55,8 @@ class ProblemInstance:
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N).  G must have full
     column rank, so M >= N.  `radius` optionally fixes the initial sphere
-    radius; when None a rounding-based radius is derived per solve.
+    radius; when None a rounding-based radius is derived per solve.  The
+    QR-factored G that every decode reuses is built once, as `lattice`.
     """
 
     Y: np.ndarray
@@ -54,6 +66,7 @@ class ProblemInstance:
     sparsity: int
     target_rank: int
     radius: float | None = None
+    lattice: PreparedLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         Y = np.array(self.Y, dtype=float)
@@ -81,8 +94,12 @@ class ProblemInstance:
             raise ValueError(
                 f"G is {m}x{n}; it needs at least as many rows (measurements) as columns"
             )
-        if rank_deficient(np.linalg.qr(G, mode="r"), m):
-            raise ValueError("G is numerically rank deficient; its columns must be independent")
+        try:
+            lattice = PreparedLattice.from_matrix(G)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "G is numerically rank deficient; its columns must be independent"
+            ) from None
         if self.target_rank > self.A.cols:
             raise ValueError(
                 f"target rank {self.target_rank} exceeds row length {self.A.cols}"
@@ -94,9 +111,9 @@ class ProblemInstance:
         if self.radius is not None and not float(self.radius) > 0.0:
             raise ValueError("radius, when given, must be positive")
         Y.setflags(write=False)
-        G.setflags(write=False)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "G", lattice.G)
+        object.__setattr__(self, "lattice", lattice)
         if self.radius is not None:
             object.__setattr__(self, "radius", float(self.radius))
 
@@ -115,10 +132,19 @@ class ProblemInstance:
 
 @dataclass
 class SolveStats:
+    """Work counters of one solve.
+
+    `backtracks` counts empty decodes plus rank-rejected leaves;
+    `bound_prunes` counts column subtrees the incumbent bound cut before
+    decoding them: a candidate dropped because acc + dist2 + LB(j+1) reached
+    the best objective, or a column whose remaining budget was already spent.
+    """
+
     dioph_nodes: int = 0
     sphere_calls: int = 0
     radius_expansions: int = 0
     backtracks: int = 0
+    bound_prunes: int = 0
     wall_time: float = 0.0
 
 
@@ -150,13 +176,20 @@ class RowTreeBundle:
 
 
 def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
-    """Candidate values of column j per row: the j-th entries of the survivors."""
+    """Candidate values of column j per row: the j-th entries of the survivors.
+
+    Rows with the same values share one Alphabet.
+    """
     sets = []
+    made: dict[tuple[int, ...], Alphabet] = {}
     for i, vectors in enumerate(bundle.rows):
-        vals = sorted({v[j] for v in vectors})
+        vals = tuple(sorted({v[j] for v in vectors}))
         if not vals:
             raise InfeasibleError(f"row {i} has no surviving candidates")
-        sets.append(Alphabet(tuple(vals)))
+        alphabet = made.get(vals)
+        if alphabet is None:
+            alphabet = made[vals] = Alphabet(vals)
+        sets.append(alphabet)
     return CandidateSets(tuple(sets))
 
 
@@ -217,22 +250,37 @@ def verify_solution(instance: ProblemInstance, X: IntMatrix) -> None:
         raise ValueError(f"X has rank {r}, required {instance.target_rank}")
 
 
+def _suffix_bound(instance: ProblemInstance) -> list[float]:
+    """LB(j) for j = 0..L: a lower bound on the cost of columns j.. of any X.
+
+    Each column's residual outside the span of G is fixed, so the sum of
+    those residuals over columns j.. (shrunk by BOUND_SLACK) bounds the rest.
+    """
+    outside = instance.lattice.outside_span(instance.Y)
+    suffix = np.concatenate([np.cumsum(outside[::-1])[::-1], [0.0]])
+    return (suffix * (1.0 - BOUND_SLACK)).tolist()
+
+
 def _search(
     instance: ProblemInstance,
     bundle0: RowTreeBundle,
     d: float,
     incumbent: tuple[float, IntMatrix] | None,
+    lb: list[float],
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
     """Exhaustive column-wise search at radius d; returns an improvement or None.
 
     Any leaf strictly better than the incumbent (any leaf at all when there
-    is none) updates the running best; the branch-and-bound step discards a
-    column candidate as soon as the accumulated squared distance already
-    meets the best objective, which cannot discard a strict improvement.
+    is none) updates the running best.  Column j is decoded only inside the
+    budget best - acc - lb[j+1] that the incumbent leaves it, and a
+    candidate is dropped once acc + dist2 + lb[j+1] meets the best objective;
+    neither can discard a strict improvement.
     """
-    Y, G = instance.Y, instance.G
+    Y, G, lattice = instance.Y, instance.G, instance.lattice
     n_cols = instance.n_cols
+    cols = [Y[:, j] for j in range(n_cols)]
+    d2 = d * d
     best_obj = math.inf if incumbent is None else incumbent[0]
     best_X: IntMatrix | None = None
 
@@ -248,14 +296,21 @@ def _search(
                 best_obj = obj
                 best_X = X
             return
+        rest = lb[j + 1]
+        budget = best_obj - acc - rest
+        if budget <= 0.0:
+            stats.bound_prunes += 1
+            return
         sets = derive_column_sets(bundle, j)
-        candidates = sphere_decode(Y[:, j], G, d, sets)
+        radius = d if budget >= d2 else math.sqrt(budget)
+        candidates = sphere_decode(cols[j], lattice, radius, sets)
         stats.sphere_calls += 1
         if not candidates:
             stats.backtracks += 1
             return
-        for cand in candidates:
-            if acc + cand.dist2 >= best_obj:
+        for k, cand in enumerate(candidates):
+            if acc + cand.dist2 + rest >= best_obj:
+                stats.bound_prunes += len(candidates) - k
                 break
             recurse(j + 1, prune_with_column(bundle, j, cand.x), acc + cand.dist2)
 
@@ -291,15 +346,16 @@ def solve(instance: ProblemInstance) -> SolveResult:
         # default radius comes from rounding the first column's LS solution;
         # later columns may need more, which radius escalation supplies
         d = babai_radius(instance.Y[:, 0], instance.G, derive_column_sets(bundle0, 0))
-    best = _search(instance, bundle0, d, None, stats)
+    lb = _suffix_bound(instance)
+    best = _search(instance, bundle0, d, None, lb, stats)
     while best is None:
         d += 1.0
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, d, None, stats)
+        best = _search(instance, bundle0, d, None, lb, stats)
     # the incumbent may sit outside the last sphere; one sweep at its own
     # radius certifies global optimality (radii <= d were already exhausted)
     if best[0] > d * d:
-        improved = _search(instance, bundle0, math.sqrt(best[0]), best, stats)
+        improved = _search(instance, bundle0, math.sqrt(best[0]), best, lb, stats)
         if improved is not None:
             best = improved
     obj, X = best
@@ -367,10 +423,11 @@ def solve_ils_eq(
         return min(feasible, key=key)
     sets = CandidateSets.uniform(alphabet, G.shape[1])
     d = babai_radius(y, G, sets)
-    candidates = sphere_decode(y, G, d, sets)
+    lattice = PreparedLattice.from_matrix(G)
+    candidates = sphere_decode(y, lattice, d, sets)
     while not candidates:
         d += 1.0
-        candidates = sphere_decode(y, G, d, sets)
+        candidates = sphere_decode(y, lattice, d, sets)
     anchor = candidates[0].x
     return min(
         feasible,

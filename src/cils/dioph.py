@@ -30,10 +30,10 @@ class Alphabet:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(int, self.values))
         if not vals:
             raise ValueError("alphabet must be nonempty")
-        if any(b <= a for a, b in zip(vals, vals[1:])):
+        if not all(map(int.__lt__, vals, vals[1:])):
             raise ValueError("alphabet values must be strictly increasing")
         object.__setattr__(self, "values", vals)
 

@@ -2,11 +2,14 @@
 
 Finds every x with x_i in a given candidate set per coordinate and
 ||y - G x|| <= d, by QR-reducing G and enumerating coordinates last-to-first
-inside the shrinking interval each partial residual allows.  Boundary policy:
-a point counts as inside when its squared distance is at most
-d^2 * (1 + 1e-9); internal pruning uses twice that slack so no boundary point
-is lost to accumulation error, and reported distances are recomputed directly
-from y and G.
+inside the shrinking interval each partial residual allows.  The QR factors
+live in a PreparedLattice, built and validated once per G; a caller that
+decodes many vectors against one G (the assembler decodes every column of Y,
+each at the radius its remaining budget allows) passes the prepared lattice,
+and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
+inside when its squared distance is at most d^2 * (1 + 1e-9); internal
+pruning uses twice that slack so no boundary point is lost to accumulation
+error, and reported distances are recomputed directly from y and G.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def _as_matrix(G) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {G.shape}")
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ValueError("matrix entries must be finite")
     return G
 
@@ -64,16 +67,9 @@ def _as_vector(y, length: int) -> np.ndarray:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != length:
         raise ValueError(f"expected a length-{length} vector, got {y.shape[0]}")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("vector entries must be finite")
     return y
-
-
-def rank_deficient(R: np.ndarray, m: int) -> bool:
-    """True when the QR triangle R of an m-row matrix has a pivot at rounding level."""
-    diag = np.abs(np.diag(R))
-    tol = max(m, R.shape[1]) * np.finfo(float).eps * max(float(diag.max()), 1.0)
-    return float(diag.min()) <= tol
 
 
 def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,57 +77,96 @@ def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (Q1, Q2, R): G = Q1 R, columns of Q2 span the orthogonal
     complement, R is square upper triangular with strictly positive diagonal.
-    Raises numpy.linalg.LinAlgError when G is numerically rank deficient.
+    Raises numpy.linalg.LinAlgError when G is numerically rank deficient,
+    i.e. some pivot of R is at rounding level.
     """
     G = _as_matrix(G)
     m, n = G.shape
     if n < 1 or m < n:
         raise ValueError(f"need a tall matrix (rows >= cols >= 1), got {m}x{n}")
     Q, R_full = np.linalg.qr(G, mode="complete")
-    R = R_full[:n, :].copy()
-    if rank_deficient(R, m):
+    R = R_full[:n]
+    diag = np.diag(R)
+    size = np.abs(diag)
+    tol = max(m, n) * np.finfo(float).eps * max(float(size.max()), 1.0)
+    if float(size.min()) <= tol:
         raise np.linalg.LinAlgError("matrix is numerically rank deficient")
-    Q = Q.copy()
-    flip = np.flatnonzero(np.diag(R) < 0)
-    R[flip, :] *= -1.0
-    Q[:, flip] *= -1.0
-    return Q[:, :n], Q[:, n:], R
+    sign = np.where(diag < 0, -1.0, 1.0)
+    return Q[:, :n] * sign, Q[:, n:], R * sign[:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedLattice:
+    """G with its QR factors, computed and checked once for many decodes.
+
+    G = Q1 R with Q1t = Q1^T and R the positive-diagonal triangle; the rows of
+    Q2t = Q2^T span the complement of G's columns, so ||Q2t y||^2 is the part
+    of ||y - G x||^2 that no x can remove.  R is held as rows of Python floats
+    so the decoder's recursion does no numpy scalar indexing.
+    """
+
+    G: np.ndarray
+    Q1t: np.ndarray
+    Q2t: np.ndarray
+    R: tuple[tuple[float, ...], ...]
+
+    @classmethod
+    def from_matrix(cls, G) -> "PreparedLattice":
+        """Validate and factor G; raises like qr_positive."""
+        G = np.array(G, dtype=float)
+        Q1, Q2, R = qr_positive(G)
+        G.setflags(write=False)
+        return cls(G, Q1.T, Q2.T, tuple(map(tuple, R.tolist())))
+
+    def outside_span(self, Y) -> np.ndarray:
+        """Per column of Y, the squared distance ||Q2t y||^2 to G's column span."""
+        W = self.Q2t @ np.asarray(Y, dtype=float)
+        return np.sum(W * W, axis=0)
 
 
 def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandidate]:
     """All x in the candidate product with ||y - G x|| <= radius.
 
+    G is a matrix or a PreparedLattice; a matrix is prepared on every call, so
+    callers decoding many vectors against one G should prepare it once.
     Exhaustive within the boundary policy above.  Results are sorted by
     (dist2, x) and each dist2 is the directly recomputed ||y - G x||^2, not
     the accumulated partial sum.
     """
-    G = _as_matrix(G)
-    m, n = G.shape
+    lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
+    Gm = lat.G
+    m, n = Gm.shape
     y = _as_vector(y, m)
     radius = float(radius)
     if not radius > 0.0 or not math.isfinite(radius):
         raise ValueError("radius must be positive and finite")
     if len(sets) != n:
         raise ValueError(f"need {n} candidate sets, got {len(sets)}")
-    Q1, Q2, R = qr_positive(G)
-    z = Q1.T @ y
+    z = (lat.Q1t @ y).tolist()
+    w = lat.Q2t @ y
     # squared distance from y to the column span; fixed for every candidate
-    base = float(np.dot(Q2.T @ y, Q2.T @ y)) if Q2.shape[1] else 0.0
+    base = float(w @ w)
     include = radius * radius * (1.0 + BOUNDARY_SLACK)
     prune = radius * radius * (1.0 + 2.0 * BOUNDARY_SLACK)
     out: list[SphereCandidate] = []
     if base > prune:
         return out
+    R = lat.R
+    values = [s.values for s in sets.sets]
     x = [0] * n
 
     def descend(i: int, acc: float) -> None:
-        b = float(z[i]) - sum(float(R[i, j]) * x[j] for j in range(i + 1, n))
-        rii = float(R[i, i])
+        row = R[i]
+        fixed = 0
+        for k in range(i + 1, n):
+            fixed += row[k] * x[k]
+        b = z[i] - fixed
+        rii = row[i]
         rad = math.sqrt(max(prune - acc, 0.0))
         lo_v = (b - rad) / rii
         hi_v = (b + rad) / rii
         margin = 1e-9 * (1.0 + abs(lo_v) + abs(hi_v))
-        vals = sets[i].values
+        vals = values[i]
         lo = bisect.bisect_left(vals, lo_v - margin)
         hi = bisect.bisect_right(vals, hi_v + margin)
         for v in vals[lo:hi]:
@@ -141,7 +176,7 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
             x[i] = v
             if i == 0:
                 xv = tuple(x)
-                r = y - G @ np.array(xv, dtype=float)
+                r = y - Gm @ np.array(xv, dtype=float)
                 d2 = float(np.dot(r, r))
                 if d2 <= include:
                     out.append(SphereCandidate(xv, d2))

@@ -66,6 +66,12 @@ class TestProblemInstance:
     def test_arrays_are_locked(self, ex_instance):
         with pytest.raises(ValueError):
             ex_instance.Y[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            ex_instance.G[0, 0] = 99.0
+
+    def test_lattice_is_built_from_g(self, ex_instance):
+        assert ex_instance.lattice.G is ex_instance.G
+        assert len(ex_instance.lattice.R) == ex_instance.n_rows
 
 
 class TestPruningTrace:
@@ -213,6 +219,60 @@ class TestSolve:
         rows = res.X.entries
         assert rows[0] != rows[1]
         verify_solution(inst, res.X)
+
+
+class TestBoundEdgeShapes:
+    """The incumbent budget and the suffix bound against the brute-force oracle."""
+
+    @staticmethod
+    def assert_oracle_optimal(inst):
+        res = solve(inst)
+        ref = oracle_solve(inst)
+        verify_solution(inst, res.X)
+        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+        return res
+
+    def test_square_g_has_zero_bound(self):
+        # M = N: Q2 is empty, so the suffix bound is 0 and only the budget prunes
+        for k in range(6):
+            n = 2 + k % 2
+            spec = GenSpec(n_rows=n, n_cols=6, n_meas=n, alphabet=S3, n_constraints=3,
+                           sigma=0.5, seed=300 + k)
+            inst, _ = generate_instance(spec)
+            assert inst.lattice.Q2t.shape[0] == 0
+            assert not inst.lattice.outside_span(inst.Y).any()
+            self.assert_oracle_optimal(inst)
+
+    def test_tall_noisy_g_prunes_on_the_bound(self):
+        # an inadmissible bound that also counts column j's own outside-span
+        # residual in the budget of column j misses the optimum on seeds 401
+        # and 407
+        prunes = 0
+        for k in range(8):
+            n = 2 + k % 2
+            spec = GenSpec(n_rows=n, n_cols=7, n_meas=n + 2, alphabet=S3, n_constraints=3,
+                           sigma=0.8, seed=400 + k)
+            inst, _ = generate_instance(spec)
+            assert inst.lattice.outside_span(inst.Y).sum() > 0.0
+            prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
+        assert prunes > 0
+
+    @pytest.mark.parametrize(
+        "G",
+        [np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])],
+        ids=["square", "tall"],
+    )
+    def test_exact_objective_tie(self, G):
+        # integer G and half-integer Y make every objective exact in floating
+        # point, and many stacks tie at the optimum
+        A = IntMatrix(((1, 1, 1, 1, 1, 1),))
+        Y = np.full((G.shape[0], 6), 0.5)
+        inst = ProblemInstance(Y=Y, G=G, A=A, alphabet=S3, sparsity=2, target_rank=2)
+        res = solve(inst)
+        ref = oracle_solve(inst)
+        verify_solution(inst, res.X)
+        assert res.objective == ref.objective
+        assert objective(Y, G, res.X) == ref.objective
 
 
 class TestObjective:

@@ -72,7 +72,14 @@ class TestSolveCommand:
     def test_stats_flag_adds_counters(self, ex_file, capsys):
         assert main(["solve", "--stats", str(ex_file)]) == 0
         out = capsys.readouterr().out
-        for field in ("dioph_nodes", "sphere_calls", "radius_expansions", "backtracks", "wall_time"):
+        for field in (
+            "dioph_nodes",
+            "sphere_calls",
+            "radius_expansions",
+            "backtracks",
+            "bound_prunes",
+            "wall_time",
+        ):
             assert field in out
 
     def test_json_flag_machine_readable(self, ex_file, capsys):
@@ -81,6 +88,7 @@ class TestSolveCommand:
         assert tuple(tuple(r) for r in doc["X"]) == X_A_ROWS
         assert doc["objective"] <= 1e-18
         assert doc["stats"]["dioph_nodes"] > 0
+        assert doc["stats"]["bound_prunes"] >= 0
 
     def test_radius_flag_overrides_file(self, ex_file, capsys):
         assert main(["solve", "--radius", "2.0", str(ex_file)]) == 0

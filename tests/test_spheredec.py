@@ -1,7 +1,8 @@
 """Sphere decoder tests: pinned worked-example columns plus oracle equivalence.
 
 The independent reference is oracle_sphere (full product scan, no QR); the
-worked example pins the decoded first and second columns at radius 0.5.
+worked example pins the decoded first and second columns at radius 0.5.  A
+prepared lattice and the raw matrix must decode identically.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from cils import (
     Alphabet,
     CandidateSets,
+    PreparedLattice,
     babai_radius,
     oracle_sphere,
     qr_positive,
@@ -82,6 +84,35 @@ class TestQrPositive:
             qr_positive(np.array([[np.nan], [1.0]]))
 
 
+class TestPreparedLattice:
+    def test_factors_match_qr_positive(self):
+        rng = np.random.default_rng(7)
+        G = rng.standard_normal((5, 3))
+        lat = PreparedLattice.from_matrix(G)
+        Q1, Q2, R = qr_positive(G)
+        assert np.array_equal(lat.Q1t, Q1.T)
+        assert np.array_equal(lat.Q2t, Q2.T)
+        assert np.array_equal(np.array(lat.R), R)
+        assert all(type(v) is float for row in lat.R for v in row)
+
+    def test_matrix_is_a_locked_copy(self):
+        G = np.eye(2)
+        lat = PreparedLattice.from_matrix(G)
+        G[0, 0] = 5.0
+        assert lat.G[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            lat.G[0, 0] = 2.0
+
+    def test_outside_span_is_least_squares_residual(self):
+        rng = np.random.default_rng(9)
+        G = rng.standard_normal((6, 2))
+        Y = rng.standard_normal((6, 4))
+        fit = G @ np.linalg.lstsq(G, Y, rcond=None)[0]
+        want = np.sum((Y - fit) ** 2, axis=0)
+        assert np.allclose(PreparedLattice.from_matrix(G).outside_span(Y), want)
+        assert not PreparedLattice.from_matrix(np.eye(3)).outside_span(np.ones((3, 2))).any()
+
+
 class TestSphereDecode:
     def test_first_column_of_worked_example(self, ex_Y, ex_G):
         got = sphere_decode(ex_Y[:, 0], ex_G, 0.5, CandidateSets.uniform(S3, 3))
@@ -121,7 +152,9 @@ class TestSphereDecode:
         rng = np.random.default_rng(21)
         for _ in range(40):
             y, G, sets, d = random_decode_case(rng)
-            assert_same_candidates(sphere_decode(y, G, d, sets), oracle_sphere(y, G, d, sets))
+            raw = sphere_decode(y, G, d, sets)
+            assert_same_candidates(raw, oracle_sphere(y, G, d, sets))
+            assert_same_candidates(sphere_decode(y, PreparedLattice.from_matrix(G), d, sets), raw)
 
     def test_gapped_alphabet(self):
         rng = np.random.default_rng(31)
