@@ -25,6 +25,7 @@ own radius runs when that is larger than d.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -243,8 +244,10 @@ def verify_solution(instance: ProblemInstance, X: IntMatrix) -> None:
         nz = sum(1 for v in row if v)
         if nz > instance.sparsity:
             raise ValueError(f"row {i} has {nz} nonzeros, budget is {instance.sparsity}")
-    if not (instance.A @ X.transpose()).is_zero():
-        raise ValueError("X violates the linear constraint A x = 0 on some row")
+    A_rows = instance.A.entries
+    for row in X.entries:
+        if any(sum(map(operator.mul, a, row)) for a in A_rows):
+            raise ValueError("X violates the linear constraint A x = 0 on some row")
     r = int_rank(X)
     if r != instance.target_rank:
         raise ValueError(f"X has rank {r}, required {instance.target_rank}")
@@ -328,11 +331,11 @@ def solve(instance: ProblemInstance) -> SolveResult:
     """
     t0 = time.perf_counter()
     stats = SolveStats()
-    paths, dstats = solve_diophantine_sparse(
+    F, dstats = solve_diophantine_sparse(
         instance.A, instance.alphabet, instance.sparsity
     )
     stats.dioph_nodes = dstats.nodes_visited
-    feasible = tree_leaves(paths)
+    feasible = tree_leaves(F)
     span_rank = int_rank(IntMatrix(tuple(feasible))) if feasible else 0
     if span_rank < instance.target_rank:
         raise InfeasibleError(
@@ -345,7 +348,7 @@ def solve(instance: ProblemInstance) -> SolveResult:
     else:
         # default radius comes from rounding the first column's LS solution;
         # later columns may need more, which radius escalation supplies
-        d = babai_radius(instance.Y[:, 0], instance.G, derive_column_sets(bundle0, 0))
+        d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
     lb = _suffix_bound(instance)
     best = _search(instance, bundle0, d, None, lb, stats)
     while best is None:
@@ -410,8 +413,8 @@ def solve_ils_eq(
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != G.shape[0]:
         raise ValueError(f"y has length {y.shape[0]}, expected {G.shape[0]}")
-    paths, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
-    feasible = tree_leaves(paths)
+    F, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
+    feasible = tree_leaves(F)
     if not feasible:
         raise InfeasibleError("no feasible vector exists", feasible_rank=0)
     if mode == "exact":
@@ -422,8 +425,8 @@ def solve_ils_eq(
 
         return min(feasible, key=key)
     sets = CandidateSets.uniform(alphabet, G.shape[1])
-    d = babai_radius(y, G, sets)
     lattice = PreparedLattice.from_matrix(G)
+    d = babai_radius(y, lattice, sets)
     candidates = sphere_decode(y, lattice, d, sets)
     while not candidates:
         d += 1.0

@@ -2,25 +2,33 @@
 
 Enumerates every x with A x = 0, all entries drawn from a finite integer
 alphabet, and at most a given number of nonzeros.  The system is first
-reduced to Hermite normal form.  Partial assignments are flat paths over the
-trailing coordinates, stored right-to-left and extended one column at a time
-from the last column to the first: a column that is the pivot of an HNF row
-is imputed from that row by exact division, any other column is expanded
-freely over the alphabet.  The nonzero budget is enforced on every partial
-path, which is what keeps the search small.
+reduced to Hermite normal form.  The partial assignments form one frontier,
+an n x L integer array whose column c holds coordinate c, plus a per-row
+nonzero count; it is extended one column at a time from the last column to
+the first.  A column that is the pivot of an HNF row is imputed on every
+row at once by exact division; any other column is expanded freely, one
+block of rows per alphabet value.  The nonzero budget is enforced on every
+partial row, which is what keeps the frontier small.
+
+Entries use the smallest signed integer dtype that holds the alphabet (int8
+for the usual small alphabets), and each pivot's numerator uses int64 when
+its magnitude is provably below 2**62; either falls back to Python-int
+object arrays, so results stay exact for any input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .intlin import IntMatrix, hermite_normal_form
 
 IntVector = tuple[int, ...]
 
-# internal search state: (partial assignment, nonzero count).  Assignments are
-# stored right-to-left, i.e. path[0] is the last coordinate of the solution.
-_State = tuple[IntVector, int]
+# a numerator of int64 entries is used only while |numerator| and the pivot
+# stay below this, so no partial sum or remainder can wrap
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -47,55 +55,6 @@ class Alphabet:
         return len(self.values)
 
 
-def _expand_free(states: list[_State], alphabet: Alphabet, max_nonzeros: int) -> tuple[list[_State], int]:
-    """Extend every path by one free coordinate; returns survivors and node count."""
-    out: list[_State] = []
-    created = 0
-    for path, nz in states:
-        for v in alphabet.values:
-            created += 1
-            nz2 = nz + (v != 0)
-            if nz2 <= max_nonzeros:
-                out.append((path + (v,), nz2))
-    return out, created
-
-
-def _apply_pivot(
-    states: list[_State],
-    h: IntVector,
-    pivot_col: int,
-    n_cols: int,
-    alphabet: Alphabet,
-    max_nonzeros: int,
-) -> tuple[list[_State], int]:
-    """Impute the pivot coordinate of h on every path; keep exact, in-alphabet hits.
-
-    Paths must cover coordinates pivot_col+1 .. n_cols-1.  For each one the
-    pivot value is -(sum of covered terms)/h[pivot_col]; the path survives
-    only if the division is exact, the value is in the alphabet, and the
-    nonzero budget still holds.  Every imputation attempt counts as one node.
-    """
-    den = h[pivot_col]
-    support = [
-        (n_cols - 1 - c, h[c]) for c in range(pivot_col + 1, n_cols) if h[c] != 0
-    ]
-    out: list[_State] = []
-    created = 0
-    for path, nz in states:
-        created += 1
-        num = -sum(coeff * path[k] for k, coeff in support)
-        val, rem = divmod(num, den)
-        if rem:
-            continue
-        if val not in alphabet:
-            continue
-        nz2 = nz + (val != 0)
-        if nz2 > max_nonzeros:
-            continue
-        out.append((path + (val,), nz2))
-    return out, created
-
-
 @dataclass(frozen=True)
 class DiophStats:
     """nodes_visited counts every candidate node examined, kept or pruned."""
@@ -104,20 +63,29 @@ class DiophStats:
     leaves: int
 
 
+def _entry_dtype(values: tuple[int, ...]) -> np.dtype:
+    """Smallest signed integer dtype holding every value; object beyond int64."""
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(t)
+        if info.min <= values[0] and values[-1] <= info.max:
+            return np.dtype(t)
+    return np.dtype(object)
+
+
 def solve_diophantine_sparse(
     A: IntMatrix, alphabet: Alphabet, max_nonzeros: int
-) -> tuple[list[IntVector], DiophStats]:
+) -> tuple[np.ndarray, DiophStats]:
     """Enumerate all x in S^L with A x = 0 and at most max_nonzeros nonzeros.
 
     Reduces A to Hermite normal form and walks the columns from L-1 down to
     0: a column that is the pivot of an HNF row is imputed from that row,
     any other column is expanded over the alphabet.  HNF pivots strictly
     increase, so each row is met once, after every column right of its pivot
-    is assigned.  Returns the surviving paths, each a solution stored
-    right-to-left (see tree_leaves), and stats with the number of candidate
-    nodes examined (free expansions plus pivot imputations) and the path
-    count.  The zero vector is always feasible, so there is always a path
-    unless the alphabet excludes 0.
+    is assigned.  Returns F, the |F| x L array of solutions (one per row, in
+    no particular order; see tree_leaves), and stats with the number of
+    candidate nodes examined (|S| per frontier row at a free column, one per
+    row at a pivot column) and |F|.  The zero vector is always feasible, so
+    F is nonempty unless the alphabet excludes 0.
     """
     if max_nonzeros < 0:
         raise ValueError("nonzero budget must be nonnegative")
@@ -133,20 +101,58 @@ def solve_diophantine_sparse(
         pivot_col = next((j for j, v in enumerate(row) if v != 0), None)
         if pivot_col is not None:
             pivot_rows[pivot_col] = row
-    states: list[_State] = [((), 0)]
+    values = alphabet.values
+    dtype = _entry_dtype(values)
+    # searchsorted gives len(values) past the largest value, where the
+    # repeated last entry cannot equal the quotient
+    lookup = np.array(values + values[-1:], dtype=dtype)
+    sorted_values = lookup[:-1]
+    max_abs = max(-values[0], values[-1])
+    nonzero = np.array([v for v in values if v != 0], dtype=dtype)
+    has_zero = 0 in alphabet
+    states = np.zeros((1, n_cols), dtype=dtype)
+    # nz reaches max_nonzeros + 1 only in a rejected pivot candidate
+    nz = np.zeros(1, dtype=np.min_scalar_type(max_nonzeros + 1))
     visited = 0
     for col in range(n_cols - 1, -1, -1):
-        if col in pivot_rows:
-            states, created = _apply_pivot(
-                states, pivot_rows[col], col, n_cols, alphabet, max_nonzeros
-            )
+        n = len(states)
+        row = pivot_rows.get(col)
+        if row is None:
+            visited += n * len(values)
+            # no row has more nonzeros than the n_cols - 1 - col columns it has
+            if n_cols - 1 - col < max_nonzeros:
+                grown, grown_nz = states, nz
+            else:
+                grow = nz < max_nonzeros
+                grown, grown_nz = states[grow], nz[grow]
+            head, head_nz = ([states], [nz]) if has_zero else ([], [])
+            states = np.concatenate(head + [grown] * len(nonzero))
+            new = states[len(head) * n :]
+            new.reshape(len(nonzero), len(grown), n_cols)[:, :, col] = nonzero[:, None]
+            nz = np.concatenate(head_nz + [grown_nz + 1] * len(nonzero))
+            continue
+        visited += n
+        den = row[col]
+        support = [(c, row[c]) for c in range(col + 1, n_cols) if row[c] != 0]
+        bound = max_abs * sum(abs(coeff) for _, coeff in support)
+        if dtype != object and max(bound, den) < _INT64_SAFE:
+            num_dtype = np.dtype(np.int64)
         else:
-            states, created = _expand_free(states, alphabet, max_nonzeros)
-        visited += created
-    paths = [path for path, _ in states]
-    return paths, DiophStats(nodes_visited=visited, leaves=len(paths))
+            num_dtype = np.dtype(object)
+        num = np.zeros(n, dtype=num_dtype)
+        for c, coeff in support:
+            num -= np.multiply(states[:, c], coeff, dtype=num_dtype)
+        exact = (num % den == 0).nonzero()[0]
+        val = num[exact] // den
+        member = lookup[sorted_values.searchsorted(val)] == val
+        nz2 = nz[exact] + (val != 0)
+        keep = member & (nz2 <= max_nonzeros)
+        states = states[exact[keep]]
+        states[:, col] = val[keep]
+        nz = nz2[keep]
+    return states, DiophStats(nodes_visited=visited, leaves=len(states))
 
 
-def tree_leaves(paths: list[IntVector]) -> list[IntVector]:
-    """Solutions from right-to-left paths, in natural coordinate order, sorted."""
-    return sorted(tuple(reversed(path)) for path in paths)
+def tree_leaves(F) -> list[IntVector]:
+    """The rows of F (see solve_diophantine_sparse) as tuples, sorted."""
+    return sorted(map(tuple, np.asarray(F).tolist()))

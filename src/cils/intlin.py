@@ -20,7 +20,7 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(operator.index(v) for v in row) for row in self.entries)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(rows[0])
@@ -97,39 +97,37 @@ def hermite_normal_form(A: IntMatrix) -> HnfResult:
     transforms, which keeps every intermediate value an exact integer.
     """
     nr, nc = A.rows, A.cols
-    H = [list(row) for row in A.entries]
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    # eliminate on the rows of [A | I]: the right block accumulates U
+    W = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(A.entries)]
     r = 0
     for c in range(nc):
         if r == nr:
             break
         for i in range(r + 1, nr):
-            b = H[i][c]
+            b = W[i][c]
             if b == 0:
                 continue
-            a = H[r][c]
+            a = W[r][c]
             g, s, t = _xgcd(a, b)
             mu, nu = a // g, b // g
             # [[s, t], [-nu, mu]] has determinant (s*a + t*b)/g = 1.
-            hr, hi = H[r], H[i]
-            H[r] = [s * x + t * y for x, y in zip(hr, hi)]
-            H[i] = [mu * y - nu * x for x, y in zip(hr, hi)]
-            ur, ui = U[r], U[i]
-            U[r] = [s * x + t * y for x, y in zip(ur, ui)]
-            U[i] = [mu * y - nu * x for x, y in zip(ur, ui)]
-        if H[r][c] == 0:
+            wr, wi = W[r], W[i]
+            W[r] = [s * x + t * y for x, y in zip(wr, wi)]
+            W[i] = [mu * y - nu * x for x, y in zip(wr, wi)]
+        if W[r][c] == 0:
             continue
-        if H[r][c] < 0:
-            H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
-        p = H[r][c]
+        if W[r][c] < 0:
+            W[r] = [-x for x in W[r]]
+        p = W[r][c]
         for j in range(r):
-            q = H[j][c] // p
+            q = W[j][c] // p
             if q:
-                H[j] = [x - q * y for x, y in zip(H[j], H[r])]
-                U[j] = [x - q * y for x, y in zip(U[j], U[r])]
+                W[j] = [x - q * y for x, y in zip(W[j], W[r])]
         r += 1
-    return HnfResult(IntMatrix(tuple(map(tuple, H))), IntMatrix(tuple(map(tuple, U))))
+    return HnfResult(
+        IntMatrix(tuple(tuple(row[:nc]) for row in W)),
+        IntMatrix(tuple(tuple(row[nc:]) for row in W)),
+    )
 
 
 def validate_hnf(H: IntMatrix, U: IntMatrix, A: IntMatrix) -> bool:

@@ -191,20 +191,29 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
 def babai_radius(y, G, sets: CandidateSets) -> float:
     """Search radius from rounding the unconstrained least-squares solution.
 
-    Each coordinate of the real solution is snapped to the nearest value in
-    its candidate set (ties to the smaller value); the returned radius is the
-    residual of that point plus a small slack, so a sphere decode at this
-    radius always sees at least one candidate.
+    G is a matrix or a PreparedLattice, as for sphere_decode.  The real
+    solution of R x = Q1^T y is found by back substitution, and each of its
+    coordinates is snapped to the nearest value in its candidate set (ties
+    to the smaller value); the returned radius is the residual of that point
+    plus a small slack, so a sphere decode at this radius always sees at
+    least one candidate.
     """
-    G = _as_matrix(G)
-    m, n = G.shape
+    lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
+    m, n = lat.G.shape
     y = _as_vector(y, m)
     if len(sets) != n:
         raise ValueError(f"need {n} candidate sets, got {len(sets)}")
-    xls = np.linalg.lstsq(G, y, rcond=None)[0]
+    z = (lat.Q1t @ y).tolist()
+    xls = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = lat.R[i]
+        b = z[i]
+        for k in range(i + 1, n):
+            b -= row[k] * xls[k]
+        xls[i] = b / row[i]
     snapped = tuple(
-        min(sets[i].values, key=lambda v: (abs(v - float(xls[i])), v)) for i in range(n)
+        min(sets[i].values, key=lambda v: (abs(v - xls[i]), v)) for i in range(n)
     )
-    r = y - G @ np.array(snapped, dtype=float)
+    r = y - lat.G @ np.array(snapped, dtype=float)
     r0 = math.sqrt(float(np.dot(r, r)))
     return r0 + 1e-9 * (1.0 + r0)

@@ -3,11 +3,13 @@
 The worked 4x7 example pins the exact 7-member feasible set; everything
 else is cross-checked against the exhaustive-scan oracle or stated as a
 structural property (negation closure, budget monotonicity, equation-order
-independence).
+independence).  A per-path loop over Python tuples is the reference for
+both the leaves and the node count of the array frontier.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from cils import (
     Alphabet,
     IntMatrix,
+    hermite_normal_form,
     int_rank,
     oracle_F,
     solve_diophantine_sparse,
@@ -33,6 +36,42 @@ def brute_force(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
         if all(sum(a * v for a, v in zip(row, x)) == 0 for row in A.entries):
             out.append(x)
     return out
+
+
+def reference_enumeration(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
+    """(sorted leaves, nodes visited) from one Python tuple per partial path.
+
+    Walks the same columns as solve_diophantine_sparse, right to left, with
+    each path stored right-to-left: a free column extends every path by each
+    alphabet value within the budget, a pivot column imputes the value by
+    exact division.  Every extension or imputation attempt is one node.
+    """
+    n_cols = A.cols
+    pivot_rows = {}
+    for row in hermite_normal_form(A).H.entries:
+        pivot_col = next((j for j, v in enumerate(row) if v != 0), None)
+        if pivot_col is not None:
+            pivot_rows[pivot_col] = row
+    states = [((), 0)]
+    nodes = 0
+    for col in range(n_cols - 1, -1, -1):
+        out = []
+        h = pivot_rows.get(col)
+        if h is None:
+            for path, nz in states:
+                for v in alphabet.values:
+                    nodes += 1
+                    if nz + (v != 0) <= max_nonzeros:
+                        out.append((path + (v,), nz + (v != 0)))
+        else:
+            support = [(n_cols - 1 - c, h[c]) for c in range(col + 1, n_cols) if h[c] != 0]
+            for path, nz in states:
+                nodes += 1
+                val, rem = divmod(-sum(coeff * path[k] for k, coeff in support), h[col])
+                if rem == 0 and val in alphabet and nz + (val != 0) <= max_nonzeros:
+                    out.append((path + (val,), nz + (val != 0)))
+        states = out
+    return sorted(tuple(reversed(path)) for path, _ in states), nodes
 
 
 class TestAlphabet:
@@ -203,6 +242,79 @@ class TestSolveDiophantine:
         _, small = solve_diophantine_sparse(ex_A, S3, 4)
         _, wide = solve_diophantine_sparse(ex_A, Alphabet((-2, -1, 0, 1, 2)), 4)
         assert wide.nodes_visited > small.nodes_visited
+
+
+class TestFrontierArray:
+    """F comes back as an |F| x L array in coordinate order, in a small dtype."""
+
+    def test_rows_in_coordinate_order(self, ex_A, s3):
+        F, stats = solve_diophantine_sparse(ex_A, s3, 4)
+        assert F.shape == (stats.leaves, ex_A.cols)
+        for x in F.tolist():
+            assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in ex_A.entries)
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            ((-1, 0, 1), np.int8),
+            ((-2, -1, 0, 1, 2), np.int8),
+            ((-200, 0, 3, 150), np.int16),
+            ((0, 2**40), np.int64),
+            ((-(2**70), 0, 2**70), object),
+        ],
+    )
+    def test_smallest_dtype_holding_the_alphabet(self, ex_A, values, dtype):
+        F, _ = solve_diophantine_sparse(ex_A, Alphabet(values), 4)
+        assert F.dtype == np.dtype(dtype)
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=9),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4, unique=True),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_path_reference(self, p, l, values, data):
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=l, max_size=l),
+                min_size=p,
+                max_size=p,
+            )
+        )
+        A = matrix(rows)
+        alphabet = Alphabet(tuple(sorted(values)))
+        k = data.draw(st.integers(min_value=0, max_value=l))
+        F, stats = solve_diophantine_sparse(A, alphabet, k)
+        want_leaves, want_nodes = reference_enumeration(A, alphabet, k)
+        assert tree_leaves(F) == want_leaves
+        assert stats.nodes_visited == want_nodes
+        assert stats.leaves == len(want_leaves)
+
+
+class TestUnboundedIntegers:
+    """A and the alphabet are Python ints of any size; nothing may wrap."""
+
+    A_HUGE = (
+        (10**19, 3 * 10**19, -2 * 10**19, 10**19, 0, 5),
+        (0, 7, 1, -1, 2 * 10**19, 1),
+    )
+
+    @pytest.mark.parametrize(
+        "values, nodes",
+        [((-1, 0, 1), 208), ((-200, 0, 3, 150), 603), ((1, 2), 46)],
+    )
+    def test_huge_coefficients_match_oracle(self, values, nodes):
+        A, alphabet = matrix(self.A_HUGE), Alphabet(values)
+        F, stats = solve_diophantine_sparse(A, alphabet, 4)
+        assert tree_leaves(F) == oracle_F(A, alphabet, 4)
+        assert stats.nodes_visited == nodes
+
+    def test_alphabet_beyond_int64(self):
+        big = 2**70
+        F, stats = solve_diophantine_sparse(matrix(self.A_HUGE), Alphabet((-big, 0, big)), 4)
+        assert tree_leaves(F) == [(-big, 0, -big, -big, 0, 0), (0,) * 6, (big, 0, big, big, 0, 0)]
+        assert stats.nodes_visited == 208
 
 
 class TestEquationOrder:

@@ -242,6 +242,23 @@ class TestBabaiRadius:
             r = babai_radius(ex_Y[:, j], ex_G, sets)
             assert sphere_decode(ex_Y[:, j], ex_G, r, sets)
 
+    def test_back_substitution_matches_least_squares(self):
+        # reference: snap numpy's least-squares solution, as a raw-G caller would
+        rng = np.random.default_rng(17)
+        S5 = Alphabet((-2, -1, 0, 1, 2))
+        for m, n in ((3, 3), (5, 3), (7, 4)):
+            G = rng.standard_normal((m, n))
+            y = 1.5 * rng.standard_normal(m)
+            sets = CandidateSets.uniform(S5, n)
+            xls = np.linalg.lstsq(G, y, rcond=None)[0]
+            snapped = [min(S5.values, key=lambda v: (abs(v - xls[i]), v)) for i in range(n)]
+            r = y - G @ np.array(snapped, dtype=float)
+            want = math.sqrt(float(r @ r))
+            lattice = PreparedLattice.from_matrix(G)
+            got = babai_radius(y, lattice, sets)
+            assert abs(got - want) <= 1e-8 * (1.0 + want)
+            assert babai_radius(y, G, sets) == got
+
     def test_radius_at_snap_tie(self):
         # a halfway point is sqrt(0.5) from either snap, whichever way ties go
         sets = CandidateSets.uniform(S3, 2)
