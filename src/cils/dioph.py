@@ -119,12 +119,8 @@ def solve_diophantine_sparse(
         row = pivot_rows.get(col)
         if row is None:
             visited += n * len(values)
-            # no row has more nonzeros than the n_cols - 1 - col columns it has
-            if n_cols - 1 - col < max_nonzeros:
-                grown, grown_nz = states, nz
-            else:
-                grow = nz < max_nonzeros
-                grown, grown_nz = states[grow], nz[grow]
+            grow = nz < max_nonzeros
+            grown, grown_nz = states[grow], nz[grow]
             head, head_nz = ([states], [nz]) if has_zero else ([], [])
             states = np.concatenate(head + [grown] * len(nonzero))
             new = states[len(head) * n :]

@@ -196,7 +196,9 @@ def babai_radius(y, G, sets: CandidateSets) -> float:
     coordinates is snapped to the nearest value in its candidate set (ties
     to the smaller value); the returned radius is the residual of that point
     plus a small slack, so a sphere decode at this radius always sees at
-    least one candidate.
+    least one candidate.  A raw G is prepared by PreparedLattice.from_matrix,
+    so a wide G raises ValueError and a rank-deficient one
+    numpy.linalg.LinAlgError.
     """
     lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
     m, n = lat.G.shape

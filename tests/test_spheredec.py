@@ -259,6 +259,14 @@ class TestBabaiRadius:
             assert abs(got - want) <= 1e-8 * (1.0 + want)
             assert babai_radius(y, G, sets) == got
 
+    def test_raw_matrix_must_be_tall_full_rank(self):
+        # a raw G is prepared like sphere_decode's, with no least-squares fallback
+        y = np.ones(2)
+        with pytest.raises(ValueError):
+            babai_radius(y, np.ones((2, 3)), CandidateSets.uniform(S3, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            babai_radius(y, np.ones((2, 2)), CandidateSets.uniform(S3, 2))
+
     def test_radius_at_snap_tie(self):
         # a halfway point is sqrt(0.5) from either snap, whichever way ties go
         sets = CandidateSets.uniform(S3, 2)
