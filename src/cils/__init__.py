@@ -20,7 +20,6 @@ from .assembler import (
     prune_with_column,
     solve,
     solve_ils_eq,
-    stack_independent,
     verify_solution,
 )
 from .dioph import (
@@ -80,7 +79,6 @@ __all__ = [
     "solve_diophantine_sparse",
     "solve_ils_eq",
     "sphere_decode",
-    "stack_independent",
     "tree_leaves",
     "validate_hnf",
     "verify_solution",

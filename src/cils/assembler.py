@@ -14,18 +14,21 @@ instance (ProblemInstance.lattice) and every decode reuses the factors.
 
 Branch and bound: LB(j) = sum over k >= j of ||Q2^T y_k||^2 is a lower bound
 on the cost of columns j.. of any X, since no X removes the part of a column
-outside G's span (it is 0 when G is square).  With the incumbent objective
-`best` and the cost `acc` of the columns fixed so far, column j is decoded at
-radius sqrt(min(d^2, best - acc - LB(j+1))) and a candidate is dropped once
-acc + dist2 + LB(j+1) reaches best.  If a radius d yields no leaf at all it
-grows by 1; once an incumbent exists, a confirming sweep at the incumbent's
-own radius runs when that is larger than d.
+outside G's span (it is 0 when G is square).  One pass searches below an
+objective cap: the best objective starts at the cap, column j is decoded at
+radius sqrt(best - acc - LB(j+1)) given the cost `acc` of the columns fixed
+so far, and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.
+Every prune discards only leaves costing at least the best objective, so a
+pass that finds a leaf returns the global optimum, and a pass that finds none
+proves the optimum is at least the cap.  The first cap is L d^2 for an
+initial per-column radius d; it doubles after each pass that finds nothing.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -38,6 +41,9 @@ from .spheredec import CandidateSets, PreparedLattice, babai_radius, sphere_deco
 # relative shrink of the suffix bound, so rounding in the per-column
 # distances never lets the bound discard a strict improvement
 BOUND_SLACK = 1e-9
+
+# factor by which the objective cap grows after a pass that finds no leaf
+CAP_GROWTH = 2.0
 
 
 class InfeasibleError(Exception):
@@ -55,9 +61,11 @@ class ProblemInstance:
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N).  G must have full
-    column rank, so M >= N.  `radius` optionally fixes the initial sphere
-    radius; when None a rounding-based radius is derived per solve.  The
-    QR-factored G that every decode reuses is built once, as `lattice`.
+    column rank, so M >= N.  `radius` optionally fixes the initial per-column
+    radius d, which sets the first objective cap L d^2 of the search; it must
+    be positive and finite, and when None a rounding-based radius is derived
+    per solve.  The QR-factored G that every decode reuses is built once, as
+    `lattice`.
     """
 
     Y: np.ndarray
@@ -109,8 +117,8 @@ class ProblemInstance:
             raise ValueError(
                 f"sparsity budget {self.sparsity} must lie in [0, {self.A.cols}]"
             )
-        if self.radius is not None and not float(self.radius) > 0.0:
-            raise ValueError("radius, when given, must be positive")
+        if self.radius is not None and not 0.0 < float(self.radius) < math.inf:
+            raise ValueError("radius, when given, must be positive and finite")
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "G", lattice.G)
@@ -135,10 +143,12 @@ class ProblemInstance:
 class SolveStats:
     """Work counters of one solve.
 
-    `backtracks` counts empty decodes plus rank-rejected leaves;
-    `bound_prunes` counts column subtrees the incumbent bound cut before
-    decoding them: a candidate dropped because acc + dist2 + LB(j+1) reached
-    the best objective, or a column whose remaining budget was already spent.
+    `radius_expansions` counts the doublings of the objective cap after
+    passes that found no leaf; `backtracks` counts empty decodes plus
+    rank-rejected leaves; `bound_prunes` counts column subtrees the bound cut
+    before decoding them: a candidate dropped because acc + dist2 + LB(j+1)
+    reached the best objective (or the cap), or a column whose remaining
+    budget was already spent.
     """
 
     dioph_nodes: int = 0
@@ -267,24 +277,23 @@ def _suffix_bound(instance: ProblemInstance) -> list[float]:
 def _search(
     instance: ProblemInstance,
     bundle0: RowTreeBundle,
-    d: float,
-    incumbent: tuple[float, IntMatrix] | None,
+    cap: float,
     lb: list[float],
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
-    """Exhaustive column-wise search at radius d; returns an improvement or None.
+    """Best leaf with objective below `cap`, or None if every leaf reaches it.
 
-    Any leaf strictly better than the incumbent (any leaf at all when there
-    is none) updates the running best.  Column j is decoded only inside the
-    budget best - acc - lb[j+1] that the incumbent leaves it, and a
-    candidate is dropped once acc + dist2 + lb[j+1] meets the best objective;
-    neither can discard a strict improvement.
+    The running best objective starts at the cap.  Column j is decoded at
+    radius sqrt(best - acc - lb[j+1]), the budget the best objective leaves
+    it, and a candidate is dropped once acc + dist2 + lb[j+1] reaches the
+    best objective.  Each prune discards only leaves costing at least the
+    best objective, so a returned leaf is the minimum over all leaves below
+    the cap.
     """
     Y, G, lattice = instance.Y, instance.G, instance.lattice
     n_cols = instance.n_cols
     cols = [Y[:, j] for j in range(n_cols)]
-    d2 = d * d
-    best_obj = math.inf if incumbent is None else incumbent[0]
+    best_obj = cap
     best_X: IntMatrix | None = None
 
     def recurse(j: int, bundle: RowTreeBundle, acc: float) -> None:
@@ -305,8 +314,7 @@ def _search(
             stats.bound_prunes += 1
             return
         sets = derive_column_sets(bundle, j)
-        radius = d if budget >= d2 else math.sqrt(budget)
-        candidates = sphere_decode(cols[j], lattice, radius, sets)
+        candidates = sphere_decode(cols[j], lattice, math.sqrt(budget), sets)
         stats.sphere_calls += 1
         if not candidates:
             stats.backtracks += 1
@@ -346,48 +354,19 @@ def solve(instance: ProblemInstance) -> SolveResult:
     if instance.radius is not None:
         d = instance.radius
     else:
-        # default radius comes from rounding the first column's LS solution;
-        # later columns may need more, which radius escalation supplies
+        # default radius comes from rounding the first column's LS solution
         d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
     lb = _suffix_bound(instance)
-    best = _search(instance, bundle0, d, None, lb, stats)
+    cap = min(instance.n_cols * d * d, sys.float_info.max)
+    best = _search(instance, bundle0, cap, lb, stats)
     while best is None:
-        d += 1.0
+        cap *= CAP_GROWTH
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, d, None, lb, stats)
-    # the incumbent may sit outside the last sphere; one sweep at its own
-    # radius certifies global optimality (radii <= d were already exhausted)
-    if best[0] > d * d:
-        improved = _search(instance, bundle0, math.sqrt(best[0]), best, lb, stats)
-        if improved is not None:
-            best = improved
+        best = _search(instance, bundle0, cap, lb, stats)
     obj, X = best
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0
     return SolveResult(X=X, objective=obj, stats=stats)
-
-
-def stack_independent(vectors: list[IntVector], count: int) -> IntMatrix:
-    """First `count` vectors, in order, that are linearly independent so far.
-
-    Raises InfeasibleError when the whole list cannot supply `count`
-    independent vectors.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    picked: list[IntVector] = []
-    for v in vectors:
-        if len(picked) == count:
-            break
-        trial = picked + [v]
-        if int_rank(IntMatrix(tuple(trial))) == len(trial):
-            picked.append(v)
-    if len(picked) < count:
-        raise InfeasibleError(
-            f"only {len(picked)} independent vectors available, need {count}",
-            feasible_rank=len(picked),
-        )
-    return IntMatrix(tuple(picked))
 
 
 def solve_ils_eq(

@@ -2,8 +2,9 @@
 
 Instance files are JSON documents with keys Y (M x L reals), G (M x N reals),
 A (P x L integers), S (alphabet values), K (sparsity budget), N (target
-rank) and optionally d0 (initial radius).  Exit codes: 0 success, 1 input
-error, 2 infeasible, 3 oracle budget refusal, 4 oracle cross-check mismatch.
+rank) and optionally d0 (initial per-column radius d, which sets the first
+objective cap L d^2).  Exit codes: 0 success, 1 input error, 2 infeasible,
+3 oracle budget refusal, 4 oracle cross-check mismatch.
 The environment variable CILS_ORACLE_BUDGET overrides the oracle's
 enumeration cap.
 """
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", help="path to an instance JSON file")
-    p_solve.add_argument("--radius", type=float, default=None, help="override the initial sphere radius")
+    p_solve.add_argument("--radius", type=float, default=None, help="initial per-column radius d (first objective cap L*d^2)")
     p_solve.add_argument("--stats", action="store_true", help="print solver statistics")
     p_solve.add_argument("--json", action="store_true", help="emit the result as JSON")
     p_solve.set_defaults(func=cmd_solve)

@@ -18,7 +18,6 @@ from cils import (
     derive_column_sets,
     generate_instance,
     GenSpec,
-    int_rank,
     objective,
     oracle_solve,
     prune_with_column,
@@ -26,7 +25,6 @@ from cils import (
     solve_diophantine_sparse,
     solve_ils_eq,
     sphere_decode,
-    stack_independent,
     tree_leaves,
     verify_solution,
 )
@@ -62,6 +60,13 @@ class TestProblemInstance:
         G[:, 2] = G[:, 0] - 2.0 * G[:, 1]
         with pytest.raises(ValueError, match="rank deficient"):
             ProblemInstance(Y=ex_Y, G=G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
+    def test_radius_must_be_positive_and_finite(self, ex_Y, ex_G, ex_A, s3, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ProblemInstance(
+                Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3, radius=radius
+            )
 
     def test_arrays_are_locked(self, ex_instance):
         with pytest.raises(ValueError):
@@ -199,14 +204,38 @@ class TestSolve:
             solve(inst)
         assert exc_info.value.feasible_rank == 1
 
-    def test_forced_small_radius_escalates(self):
+    @pytest.mark.parametrize("radius", [1e-9, 1e3, 1e200])
+    def test_forced_small_radius_escalates(self, radius):
+        # a tiny radius doubles the objective cap until a leaf exists; a huge
+        # one starts from a cap clamped to the largest float
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.2, seed=0)
         inst, _ = generate_instance(spec)
-        res_default = solve(inst)
-        res_tiny = solve(dataclasses.replace(inst, radius=1e-9))
-        assert res_tiny.stats.radius_expansions >= 1
-        assert res_tiny.X == res_default.X
-        assert abs(res_tiny.objective - res_default.objective) <= 1e-9
+        res = solve(dataclasses.replace(inst, radius=radius))
+        if radius < 1.0:
+            assert res.stats.radius_expansions >= 1
+        else:
+            assert res.stats.radius_expansions == 0
+        ref = oracle_solve(inst)
+        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+        verify_solution(inst, res.X)
+
+    def test_hard_instance_within_decode_budget(self):
+        # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
+        # place of doubling it, took about 240k decodes
+        spec = GenSpec(
+            n_rows=5,
+            n_cols=14,
+            n_meas=6,
+            alphabet=Alphabet((-2, -1, 0, 1, 2)),
+            n_constraints=6,
+            sparsity=4,
+            sigma=0.5,
+            seed=3677149159,
+        )
+        inst, _ = generate_instance(spec)
+        res = solve(inst)
+        assert res.objective == pytest.approx(23.041300291816217, rel=1e-9)
+        assert res.stats.sphere_calls <= 40_000
 
     def test_duplicate_candidate_rows_excluded_by_rank(self, s3):
         # feasible rows are (a,a,b); the second G column is nearly inert, so
@@ -303,20 +332,6 @@ class TestObjective:
     def test_dimension_mismatch_raises(self, ex_Y, ex_G):
         with pytest.raises(ValueError):
             objective(ex_Y, ex_G, IntMatrix.identity(2))
-
-
-class TestStackIndependent:
-    def test_picks_first_independent_rows(self, ex_feasible):
-        X = stack_independent(ex_feasible, 3)
-        assert X.rows == 3
-        assert int_rank(X) == 3
-        # rows come from the feasible list in order
-        assert all(tuple(r) in set(ex_feasible) for r in X.entries)
-
-    def test_insufficient_rank_raises(self):
-        with pytest.raises(InfeasibleError) as exc_info:
-            stack_independent([(1, 1), (2, 2), (-1, -1)], 2)
-        assert exc_info.value.feasible_rank == 1
 
 
 class TestSolveIlsEq:

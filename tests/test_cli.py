@@ -96,6 +96,17 @@ class TestSolveCommand:
         got = tuple(tuple(int(v) for v in line.split()) for line in out[:3])
         assert got == X_A_ROWS
 
+    def test_infinite_radius_flag_exits_1(self, ex_file, capsys):
+        assert main(["solve", "--radius", "inf", str(ex_file)]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_infinite_d0_exits_1(self, tmp_path, tiny_doc, capsys):
+        tiny_doc["d0"] = float("inf")
+        path = write_instance(tmp_path / "bad.json", tiny_doc)
+        assert "Infinity" in (tmp_path / "bad.json").read_text(encoding="utf-8")
+        assert main(["solve", path]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_sparsity_above_length_exits_1(self, tmp_path, tiny_doc, capsys):
         tiny_doc["K"] = 9
         path = write_instance(tmp_path / "bad.json", tiny_doc)
