@@ -21,7 +21,8 @@ so far, and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.
 Every prune discards only leaves costing at least the best objective, so a
 pass that finds a leaf returns the global optimum, and a pass that finds none
 proves the optimum is at least the cap.  The first cap is L d^2 for an
-initial per-column radius d; it doubles after each pass that finds nothing.
+initial per-column radius d, clamped into the positive finite floats; it
+doubles after each pass that finds nothing.
 """
 
 from __future__ import annotations
@@ -357,7 +358,9 @@ def solve(instance: ProblemInstance) -> SolveResult:
         # default radius comes from rounding the first column's LS solution
         d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
     lb = _suffix_bound(instance)
-    cap = min(instance.n_cols * d * d, sys.float_info.max)
+    # clamp the first cap into the positive finite floats: L d^2 underflows
+    # to 0 for d below about 1e-162 and overflows to inf above about 1e154
+    cap = min(max(instance.n_cols * d * d, sys.float_info.min), sys.float_info.max)
     best = _search(instance, bundle0, cap, lb, stats)
     while best is None:
         cap *= CAP_GROWTH

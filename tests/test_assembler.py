@@ -204,10 +204,11 @@ class TestSolve:
             solve(inst)
         assert exc_info.value.feasible_rank == 1
 
-    @pytest.mark.parametrize("radius", [1e-9, 1e3, 1e200])
+    @pytest.mark.parametrize("radius", [1e-200, 1e-9, 1e3, 1e200])
     def test_forced_small_radius_escalates(self, radius):
-        # a tiny radius doubles the objective cap until a leaf exists; a huge
-        # one starts from a cap clamped to the largest float
+        # a tiny radius doubles the objective cap until a leaf exists, from a
+        # cap clamped to the smallest normal float when L d^2 underflows; a
+        # huge one starts from a cap clamped to the largest float
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.2, seed=0)
         inst, _ = generate_instance(spec)
         res = solve(dataclasses.replace(inst, radius=radius))
