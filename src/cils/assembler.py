@@ -12,14 +12,18 @@ of Y against G, and recurses on each returned column vector after pruning
 the row sets.  Leaves are rank-checked exactly.  G is QR-factored once per
 instance (ProblemInstance.lattice) and every decode reuses the factors.
 
-Branch and bound: LB(j) = sum over k >= j of ||Q2^T y_k||^2 is a lower bound
-on the cost of columns j.. of any X, since no X removes the part of a column
-outside G's span (it is 0 when G is square).  One pass searches below an
-objective cap: the best objective starts at the cap, column j is decoded at
-radius sqrt(best - acc - LB(j+1)) given the cost `acc` of the columns fixed
-so far, and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.
-Every prune discards only leaves costing at least the best objective, so a
-pass that finds a leaf returns the global optimum, and a pass that finds none
+Branch and bound: every column of every feasible X lies in V_k^N, where V_k
+is the set of values the feasible rows take at coordinate k, so no X fits
+column k better than the floor c_k = min ||y_k - G x||^2 over that product
+(spheredec.column_floors finds every c_k in one pass per instance), and
+LB(j) = sum over k >= j of c_k bounds the cost of columns j.. of any X.  A
+floor is at least the column's residual outside G's span, and it is nonzero
+in general even when G is square.  One pass searches below an objective cap:
+the best objective starts at the cap, column j is decoded at radius
+sqrt(best - acc - LB(j+1)) given the cost `acc` of the columns fixed so far,
+and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.  Every
+prune discards only leaves costing at least the best objective, so a pass
+that finds a leaf returns the global optimum, and a pass that finds none
 proves the optimum is at least the cap.  The first cap is L d^2 for an
 initial per-column radius d, clamped into the positive finite floats; it
 doubles after each pass that finds nothing.
@@ -37,7 +41,13 @@ import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
-from .spheredec import CandidateSets, PreparedLattice, babai_radius, sphere_decode
+from .spheredec import (
+    CandidateSets,
+    PreparedLattice,
+    babai_radius,
+    column_floors,
+    sphere_decode,
+)
 
 # relative shrink of the suffix bound, so rounding in the per-column
 # distances never lets the bound discard a strict improvement
@@ -146,16 +156,20 @@ class SolveStats:
 
     `radius_expansions` counts the doublings of the objective cap after
     passes that found no leaf; `backtracks` counts empty decodes plus
-    rank-rejected leaves; `bound_prunes` counts column subtrees the bound cut
-    before decoding them: a candidate dropped because acc + dist2 + LB(j+1)
-    reached the best objective (or the cap), or a column whose remaining
-    budget was already spent.
+    rank-rejected leaves, and `rank_rejects` the rank-rejected leaves alone;
+    `bound_prunes` counts column subtrees the bound cut before decoding them:
+    a candidate dropped because acc + dist2 + LB(j+1) reached the best
+    objective (or the cap), or a column whose remaining budget was already
+    spent.  LB is the suffix sum of the per-column alphabet-relaxed floors,
+    which are computed without sphere_decode, so `sphere_calls` counts the
+    search's decodes only.
     """
 
     dioph_nodes: int = 0
     sphere_calls: int = 0
     radius_expansions: int = 0
     backtracks: int = 0
+    rank_rejects: int = 0
     bound_prunes: int = 0
     wall_time: float = 0.0
 
@@ -264,14 +278,18 @@ def verify_solution(instance: ProblemInstance, X: IntMatrix) -> None:
         raise ValueError(f"X has rank {r}, required {instance.target_rank}")
 
 
-def _suffix_bound(instance: ProblemInstance) -> list[float]:
+def _suffix_bound(instance: ProblemInstance, F: np.ndarray) -> list[float]:
     """LB(j) for j = 0..L: a lower bound on the cost of columns j.. of any X.
 
-    Each column's residual outside the span of G is fixed, so the sum of
-    those residuals over columns j.. (shrunk by BOUND_SLACK) bounds the rest.
+    Column k of any feasible X takes only values that the feasible rows F
+    take at coordinate k, so its cost is at least the floor c_k over that
+    product; the sum of the floors over columns j.. (shrunk by BOUND_SLACK)
+    bounds the rest.
     """
-    outside = instance.lattice.outside_span(instance.Y)
-    suffix = np.concatenate([np.cumsum(outside[::-1])[::-1], [0.0]])
+    values = instance.alphabet.values
+    allowed = (F[:, :, None] == np.array(values, dtype=F.dtype)).any(axis=0)
+    floors = column_floors(instance.lattice, instance.Y, values, allowed)
+    suffix = np.concatenate([np.cumsum(floors[::-1])[::-1], [0.0]])
     return (suffix * (1.0 - BOUND_SLACK)).tolist()
 
 
@@ -287,9 +305,10 @@ def _search(
     The running best objective starts at the cap.  Column j is decoded at
     radius sqrt(best - acc - lb[j+1]), the budget the best objective leaves
     it, and a candidate is dropped once acc + dist2 + lb[j+1] reaches the
-    best objective.  Each prune discards only leaves costing at least the
-    best objective, so a returned leaf is the minimum over all leaves below
-    the cap.
+    best objective.  lb[j] = sum over k >= j of the column floors c_k (see
+    _suffix_bound): no feasible column k fits better than c_k, so each prune
+    discards only leaves costing at least the best objective, and a returned
+    leaf is the minimum over all leaves below the cap.
     """
     Y, G, lattice = instance.Y, instance.G, instance.lattice
     n_cols = instance.n_cols
@@ -303,6 +322,7 @@ def _search(
             X = IntMatrix(tuple(vectors[0] for vectors in bundle.rows))
             if int_rank(X) != instance.target_rank:
                 stats.backtracks += 1
+                stats.rank_rejects += 1
                 return
             obj = objective(Y, G, X)
             if obj < best_obj:
@@ -357,7 +377,7 @@ def solve(instance: ProblemInstance) -> SolveResult:
     else:
         # default radius comes from rounding the first column's LS solution
         d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
-    lb = _suffix_bound(instance)
+    lb = _suffix_bound(instance, F)
     # clamp the first cap into the positive finite floats: L d^2 underflows
     # to 0 for d below about 1e-162 and overflows to inf above about 1e154
     cap = min(max(instance.n_cols * d * d, sys.float_info.min), sys.float_info.max)

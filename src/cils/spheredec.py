@@ -10,6 +10,10 @@ and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
 inside when its squared distance is at most d^2 * (1 + 1e-9); internal
 pruning uses twice that slack so no boundary point is lost to accumulation
 error, and reported distances are recomputed directly from y and G.
+
+column_floors runs the same enumeration breadth first over every column of
+Y at once and keeps only each column's minimum distance; the assembler sums
+these floors into its branch-and-bound bound.
 """
 
 from __future__ import annotations
@@ -186,6 +190,61 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
     descend(n - 1, base)
     out.sort(key=lambda c: (c.dist2, c.x))
     return out
+
+
+def column_floors(lattice: PreparedLattice, Y, values, allowed) -> np.ndarray:
+    """Per column k of Y, min ||y_k - G x||^2 over x with every entry in V_k.
+
+    `values` is the sorted alphabet and `allowed` an L x |values| boolean
+    mask; V_k holds the values that row k of the mask allows, and every row
+    must allow at least one.  All columns are searched in one breadth-first
+    pass.  Each column's radius is the residual of its Babai point, every
+    least-squares coordinate snapped to the nearest value of V_k (ties to the
+    smaller): the point lies in V_k^N, so the radius holds the minimum.  The
+    frontier holds (column, values fixed so far, partial cost) as arrays; it
+    enumerates coordinates last to first like sphere_decode, starts each
+    column at its outside-span residual and prunes with the decoder's slack,
+    and leaf distances are recomputed directly from y and G.  The result is
+    at least outside_span(Y), column by column.
+    """
+    Gm = lattice.G
+    m, n = Gm.shape
+    Y = np.asarray(Y, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    allowed = np.asarray(allowed, dtype=bool)
+    if Y.ndim != 2 or Y.shape[0] != m:
+        raise ValueError(f"Y must have {m} rows, got shape {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise ValueError("Y entries must be finite")
+    n_cols = Y.shape[1]
+    if allowed.shape != (n_cols, len(vals)):
+        raise ValueError(
+            f"allowed must be {n_cols}x{len(vals)}, got shape {allowed.shape}"
+        )
+    if not allowed.any(axis=1).all():
+        raise ValueError("every column needs at least one allowed value")
+    R = np.array(lattice.R)
+    Z = lattice.Q1t @ Y
+    # Babai point: each least-squares coordinate snapped into V_k
+    gap = np.abs(vals - np.linalg.solve(R, Z)[:, :, None])
+    gap[:, ~allowed] = np.inf
+    r = Y - Gm @ vals[np.argmin(gap, axis=2)]
+    floors = np.einsum("ij,ij->j", r, r)
+    # a value passes where its cost is within the column's pruning radius;
+    # costs are never negative, so -1 shuts out the values V_k lacks
+    limit = np.where(allowed, floors[:, None] * (1.0 + 2.0 * BOUNDARY_SLACK), -1.0)
+    col = np.arange(n_cols)
+    acc = lattice.outside_span(Y)
+    x = np.zeros((n_cols, n))
+    for i in range(n - 1, -1, -1):
+        b = Z[i, col] - x[:, i + 1 :] @ R[i, i + 1 :]
+        cost = acc[:, None] + (b[:, None] - R[i, i] * vals) ** 2
+        node, v = np.nonzero(cost <= limit[col])
+        col, acc, x = col[node], cost[node, v], x[node]
+        x[:, i] = vals[v]
+    r = Y[:, col] - Gm @ x.T
+    np.minimum.at(floors, col, np.einsum("ij,ij->j", r, r))
+    return floors
 
 
 def babai_radius(y, G, sets: CandidateSets) -> float:

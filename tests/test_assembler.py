@@ -28,6 +28,8 @@ from cils import (
     tree_leaves,
     verify_solution,
 )
+from cils.assembler import _suffix_bound
+from cils.harness import trial_seeds
 from conftest import FEASIBLE_7, X_A_ROWS
 
 S3 = Alphabet((-1, 0, 1))
@@ -222,7 +224,7 @@ class TestSolve:
 
     def test_hard_instance_within_decode_budget(self):
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
-        # place of doubling it, took about 240k decodes
+        # place of doubling it, takes about 140k decodes; doubling takes 1,683
         spec = GenSpec(
             n_rows=5,
             n_cols=14,
@@ -236,7 +238,32 @@ class TestSolve:
         inst, _ = generate_instance(spec)
         res = solve(inst)
         assert res.objective == pytest.approx(23.041300291816217, rel=1e-9)
-        assert res.stats.sphere_calls <= 40_000
+        assert res.stats.sphere_calls <= 5_000
+
+    def test_hard_tier_objectives_and_decode_budget(self):
+        # the 12 hard-tier instances (three shapes, four trial seeds each):
+        # objectives pinned, total decodes under a ceiling (14,185 measured
+        # with the column-floor bound, 189,505 with the outside-span bound)
+        S5 = Alphabet((-2, -1, 0, 1, 2))
+        tiers = [
+            (GenSpec(n_rows=4, n_cols=12, n_meas=6, alphabet=S3, n_constraints=7,
+                     sparsity=4, sigma=1.0, seed=2, trials=4),
+             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507]),
+            (GenSpec(n_rows=4, n_cols=12, n_meas=5, alphabet=S3, n_constraints=4,
+                     sparsity=4, sigma=0.6, seed=0, trials=4),
+             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527]),
+            (GenSpec(n_rows=5, n_cols=14, n_meas=6, alphabet=S5, n_constraints=6,
+                     sparsity=4, sigma=0.5, seed=0, trials=4),
+             [18.969213179759812, 23.041300291816217, 15.973124163967451, 24.578878819742226]),
+        ]
+        calls = 0
+        for spec, objectives in tiers:
+            for trial_seed, want in zip(trial_seeds(spec), objectives):
+                inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
+                res = solve(inst)
+                assert res.objective == pytest.approx(want, rel=1e-9)
+                calls += res.stats.sphere_calls
+        assert calls <= 20_000
 
     def test_duplicate_candidate_rows_excluded_by_rank(self, s3):
         # feasible rows are (a,a,b); the second G column is nearly inert, so
@@ -262,8 +289,10 @@ class TestBoundEdgeShapes:
         assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
         return res
 
-    def test_square_g_has_zero_bound(self):
-        # M = N: Q2 is empty, so the suffix bound is 0 and only the budget prunes
+    def test_square_g_prunes_on_column_floors(self):
+        # M = N: Q2 is empty and nothing lies outside G's span, yet the
+        # alphabet-relaxed column floors still give the bound something to cut
+        prunes = 0
         for k in range(6):
             n = 2 + k % 2
             spec = GenSpec(n_rows=n, n_cols=6, n_meas=n, alphabet=S3, n_constraints=3,
@@ -271,7 +300,19 @@ class TestBoundEdgeShapes:
             inst, _ = generate_instance(spec)
             assert inst.lattice.Q2t.shape[0] == 0
             assert not inst.lattice.outside_span(inst.Y).any()
-            self.assert_oracle_optimal(inst)
+            F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
+            assert _suffix_bound(inst, F)[0] > 0.0
+            prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
+        assert prunes > 0
+
+    def test_square_g_noiseless(self):
+        # sigma = 0 and M = N: every floor sits at rounding level
+        spec = GenSpec(n_rows=3, n_cols=7, n_meas=3, alphabet=S3, n_constraints=3,
+                       sigma=0.0, seed=310)
+        inst, planted = generate_instance(spec)
+        res = self.assert_oracle_optimal(inst)
+        assert res.objective <= 1e-18
+        assert res.X == planted
 
     def test_tall_noisy_g_prunes_on_the_bound(self):
         # an inadmissible bound that also counts column j's own outside-span

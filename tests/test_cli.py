@@ -77,6 +77,7 @@ class TestSolveCommand:
             "sphere_calls",
             "radius_expansions",
             "backtracks",
+            "rank_rejects",
             "bound_prunes",
             "wall_time",
         ):

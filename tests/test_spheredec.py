@@ -2,25 +2,32 @@
 
 The independent reference is oracle_sphere (full product scan, no QR); the
 worked example pins the decoded first and second columns at radius 0.5.  A
-prepared lattice and the raw matrix must decode identically.
+prepared lattice and the raw matrix must decode identically.  The column
+floors are checked against an itertools.product scan.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cils import (
     Alphabet,
     CandidateSets,
+    IntMatrix,
     PreparedLattice,
+    ProblemInstance,
     babai_radius,
+    column_floors,
     oracle_sphere,
     qr_positive,
+    solve_diophantine_sparse,
     sphere_decode,
 )
+from cils.assembler import _suffix_bound
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -274,3 +281,93 @@ class TestBabaiRadius:
         y = np.array([-0.5, -0.5])
         r = babai_radius(y, G, sets)
         assert abs(r - math.sqrt(0.5)) <= 1e-6
+
+
+def brute_floors(G, Y, value_sets):
+    """Per column k, min ||y_k - G x||^2 over x in value_sets[k]^N, by scan."""
+    return np.array([
+        min(
+            float(np.sum((Y[:, k] - G @ np.array(x, dtype=float)) ** 2))
+            for x in itertools.product(vk, repeat=G.shape[1])
+        )
+        for k, vk in enumerate(value_sets)
+    ])
+
+
+def assert_floors_match(got, want, outside):
+    for f, b, o in zip(got, want, outside):
+        assert abs(f - b) <= 1e-9 * max(1.0, b)
+        assert f >= o - 1e-9 * max(1.0, o)
+
+
+class TestColumnFloors:
+    @given(st.data())
+    def test_equals_product_minimum(self, data):
+        # subsets of -6..6, so zero-free and non-contiguous ones appear, and
+        # targets both inside and beyond the alphabet's range
+        n = data.draw(st.integers(1, 3), label="N")
+        m = n + data.draw(st.integers(0, 2), label="M - N")
+        n_cols = data.draw(st.integers(1, 4), label="L")
+        values = sorted(data.draw(st.sets(st.integers(-6, 6), min_size=1, max_size=5)))
+        row = st.lists(st.booleans(), min_size=len(values), max_size=len(values))
+        allowed = np.array(
+            data.draw(st.lists(row.filter(any), min_size=n_cols, max_size=n_cols))
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = data.draw(st.sampled_from([0.0, 0.1, 1.0, 3.0]), label="sigma")
+        G = rng.standard_normal((m, n))
+        try:
+            lattice = PreparedLattice.from_matrix(G)
+        except np.linalg.LinAlgError:
+            assume(False)
+        Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
+        got = column_floors(lattice, Y, values, allowed)
+        value_sets = [[v for v, ok in zip(values, mask) if ok] for mask in allowed]
+        assert_floors_match(got, brute_floors(G, Y, value_sets), lattice.outside_span(Y))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20)
+    def test_huge_alphabet_object_rows(self, seed):
+        # the feasible rows of a +-2**70 alphabet are a Python-int object
+        # array; the floors and the suffix bound come from them unchanged
+        alphabet = Alphabet((-(2**70), 0, 2**70))
+        A = IntMatrix(((1, 0, 0, 0, 0), (0, 1, 1, 0, 0)))
+        F, _ = solve_diophantine_sparse(A, alphabet, 3)
+        assert F.dtype == object
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((3, 2))
+        Y = 2.0**70 * (G @ rng.uniform(-1.5, 1.5, (2, 5)) + 0.3 * rng.standard_normal((3, 5)))
+        inst = ProblemInstance(Y=Y, G=G, A=A, alphabet=alphabet, sparsity=3, target_rank=2)
+        value_sets = [sorted(set(F[:, k])) for k in range(5)]
+        assert value_sets[0] == [0]
+        want = brute_floors(inst.G, inst.Y, value_sets)
+        allowed = np.array([[v in vk for v in alphabet.values] for vk in value_sets])
+        got = column_floors(inst.lattice, inst.Y, alphabet.values, allowed)
+        assert_floors_match(got, want, inst.lattice.outside_span(inst.Y))
+        suffix = np.append(np.cumsum(want[::-1])[::-1], 0.0)
+        lb = _suffix_bound(inst, F)
+        assert len(lb) == 6
+        for a, b in zip(lb, suffix):
+            assert a <= b and abs(a - b) <= 1e-8 * max(1.0, b)
+
+    def test_square_lattice_has_positive_floors(self):
+        # G = I, y = 0.5 per entry: no point of {-1, 1}^2 comes closer than
+        # 0.5^2 per coordinate, though the outside-span residual is 0
+        lattice = PreparedLattice.from_matrix(np.eye(2))
+        Y = np.full((2, 3), 0.5)
+        allowed = np.array([[True, False, True], [True, True, True], [False, False, True]])
+        got = column_floors(lattice, Y, (-1, 0, 1), allowed)
+        assert got.tolist() == [0.5, 0.5, 0.5]
+        assert not lattice.outside_span(Y).any()
+
+    def test_bad_inputs_rejected(self):
+        lattice = PreparedLattice.from_matrix(np.eye(2))
+        Y = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="rows"):
+            column_floors(lattice, np.zeros((3, 3)), (0, 1), np.ones((3, 2), dtype=bool))
+        with pytest.raises(ValueError, match="finite"):
+            column_floors(lattice, np.full((2, 3), np.nan), (0, 1), np.ones((3, 2), dtype=bool))
+        with pytest.raises(ValueError, match="allowed must be"):
+            column_floors(lattice, Y, (0, 1), np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="at least one"):
+            column_floors(lattice, Y, (0, 1), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
