@@ -5,12 +5,15 @@ from a finite alphabet, whose rows each satisfy A x = 0 with at most K
 nonzeros, and whose rank equals the number of rows N.
 
 The solve runs in two stages.  Stage one enumerates the feasible row set F
-once (see dioph).  Stage two keeps one copy of F per output row and walks the
-columns left to right: for each column it derives the per-row candidate
-values still consistent with the choices so far, sphere-decodes that column
-of Y against G, and recurses on each returned column vector after pruning
-the row sets.  Leaves are rank-checked exactly.  G is QR-factored once per
-instance (ProblemInstance.lattice) and every decode reuses the factors.
+once (see dioph).  Stage two sorts F once and walks the columns left to
+right.  With columns 0..j-1 fixed, the rows of F that agree with an output
+row's choices so far form one contiguous range of the sorted F, so a search
+node is one (lo, hi) index pair per output row.  For each column the search
+reads the per-row candidate values off those ranges, sphere-decodes that
+column of Y against G, and recurses on each returned column vector after
+narrowing the ranges.  Leaves are rank-checked exactly.  G is QR-factored
+once per instance (ProblemInstance.lattice) and every decode reuses the
+factors.
 
 Branch and bound: every column of every feasible X lies in V_k^N, where V_k
 is the set of values the feasible rows take at coordinate k, so no X fits
@@ -35,6 +38,7 @@ import math
 import operator
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,35 +187,61 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class RowTreeBundle:
-    """Per output row, the feasible row vectors still consistent with all pruning."""
+    """Per output row, the feasible rows still consistent with all pruning.
 
-    rows: tuple[tuple[IntVector, ...], ...]
+    `feasible` holds the feasible rows sorted lexicographically and is shared
+    by every node of the search.  Once the columns 0..depth-1 are fixed, the
+    rows that agree with output row i on them form one contiguous range
+    feasible[lo:hi], with (lo, hi) = spans[i]; a row is settled when its
+    range holds a single row.
+    """
+
+    feasible: tuple[IntVector, ...]
+    spans: tuple[tuple[int, int], ...]
+    depth: int = 0
 
     @classmethod
     def initial(cls, feasible: list[IntVector], n_rows: int) -> "RowTreeBundle":
         if n_rows < 1:
             raise ValueError("need at least one row")
-        shared = tuple(feasible)
-        if not shared:
+        rows = tuple(sorted(feasible))
+        if not rows:
             raise ValueError("feasible set is empty")
-        return cls((shared,) * n_rows)
+        return cls(rows, ((0, len(rows)),) * n_rows)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.spans)
+
+
+def _next_column(bundle: RowTreeBundle, j: int) -> operator.itemgetter:
+    """Sort key of column j; raises ValueError unless j is the next column to fix."""
+    if j != bundle.depth or j >= len(bundle.feasible[0]):
+        raise ValueError(
+            f"column {j} is not the next column to fix: columns are fixed left to "
+            f"right, {bundle.depth} of {len(bundle.feasible[0])} so far"
+        )
+    return operator.itemgetter(j)
 
 
 def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
-    """Candidate values of column j per row: the j-th entries of the survivors.
+    """Candidate values of column j per row: the j-th entries of its range.
 
-    Rows with the same values share one Alphabet.
+    The rows of a range agree on columns 0..j-1, so their j-th entries are
+    sorted and each distinct value is one bisect away from the last.  Rows
+    with the same values share one Alphabet.
     """
+    key = _next_column(bundle, j)
+    rows = bundle.feasible
     sets = []
     made: dict[tuple[int, ...], Alphabet] = {}
-    for i, vectors in enumerate(bundle.rows):
-        vals = tuple(sorted({v[j] for v in vectors}))
-        if not vals:
-            raise InfeasibleError(f"row {i} has no surviving candidates")
+    for lo, hi in bundle.spans:
+        vals = []
+        while lo < hi:
+            v = rows[lo][j]
+            vals.append(v)
+            lo = bisect_right(rows, v, lo, hi, key=key)
+        vals = tuple(vals)
         alphabet = made.get(vals)
         if alphabet is None:
             alphabet = made[vals] = Alphabet(vals)
@@ -220,27 +250,25 @@ def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
 
 
 def prune_with_column(bundle: RowTreeBundle, j: int, x_col: IntVector) -> RowTreeBundle:
-    """Keep, per row i, only survivors whose j-th entry equals x_col[i].
+    """Narrow each row's range to the rows whose j-th entry equals x_col[i].
 
-    Rows already settled to a single vector are left untouched, so a column
-    choice can never contradict an earlier settled row.  Raises ValueError if
-    the choice would empty an unsettled row, since the decoder only proposes
-    values drawn from the survivors.
+    Raises ValueError if a value leaves a row no feasible row, settled or
+    not; the decoder only proposes values drawn from the ranges.
     """
+    key = _next_column(bundle, j)
     if len(x_col) != bundle.n_rows:
         raise ValueError(f"column has {len(x_col)} entries for {bundle.n_rows} rows")
-    new_rows = []
-    for i, vectors in enumerate(bundle.rows):
-        if len(vectors) == 1:
-            new_rows.append(vectors)
-            continue
-        kept = tuple(v for v in vectors if v[j] == x_col[i])
-        if not kept:
+    rows = bundle.feasible
+    spans = []
+    for i, ((lo, hi), v) in enumerate(zip(bundle.spans, x_col)):
+        lo = bisect_left(rows, v, lo, hi, key=key)
+        hi = bisect_right(rows, v, lo, hi, key=key)
+        if lo == hi:
             raise ValueError(
-                f"value {x_col[i]} at column {j} eliminates every candidate for row {i}"
+                f"value {v} at column {j} eliminates every candidate for row {i}"
             )
-        new_rows.append(kept)
-    return RowTreeBundle(tuple(new_rows))
+        spans.append((lo, hi))
+    return RowTreeBundle(rows, tuple(spans), j + 1)
 
 
 def objective(Y, G, X: IntMatrix) -> float:
@@ -311,6 +339,7 @@ def _search(
     leaf is the minimum over all leaves below the cap.
     """
     Y, G, lattice = instance.Y, instance.G, instance.lattice
+    feasible = bundle0.feasible
     n_cols = instance.n_cols
     cols = [Y[:, j] for j in range(n_cols)]
     best_obj = cap
@@ -319,7 +348,7 @@ def _search(
     def recurse(j: int, bundle: RowTreeBundle, acc: float) -> None:
         nonlocal best_obj, best_X
         if j == n_cols:
-            X = IntMatrix(tuple(vectors[0] for vectors in bundle.rows))
+            X = IntMatrix(tuple(feasible[lo] for lo, _ in bundle.spans))
             if int_rank(X) != instance.target_rank:
                 stats.backtracks += 1
                 stats.rank_rejects += 1

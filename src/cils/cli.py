@@ -52,7 +52,7 @@ def _real_matrix(path, key: str, raw) -> np.ndarray:
         raise _fail(path, key, "expected a nonempty list of rows")
     try:
         M = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise _fail(path, key, str(e)) from e
     if M.ndim != 2:
         raise _fail(path, key, "rows must all have the same length")
@@ -71,7 +71,7 @@ def load_instance(path) -> ProblemInstance:
     Y = _real_matrix(path, "Y", doc["Y"])
     G = _real_matrix(path, "G", doc["G"])
     A = _int_matrix(path, "A", doc["A"])
-    if not isinstance(doc["S"], list):
+    if not isinstance(doc["S"], list) or any(isinstance(v, bool) for v in doc["S"]):
         raise _fail(path, "S", "expected a list of integers")
     try:
         alphabet = Alphabet(tuple(doc["S"]))
@@ -85,7 +85,10 @@ def load_instance(path) -> ProblemInstance:
     if "d0" in doc and doc["d0"] is not None:
         if not isinstance(doc["d0"], (int, float)) or isinstance(doc["d0"], bool):
             raise _fail(path, "d0", "expected a number")
-        radius = float(doc["d0"])
+        try:
+            radius = float(doc["d0"])
+        except OverflowError as e:
+            raise _fail(path, "d0", str(e)) from e
     try:
         return ProblemInstance(
             Y=Y,

@@ -18,6 +18,7 @@ object arrays, so results stay exact for any input.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,12 @@ _INT64_SAFE = 2**62
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Finite set of allowed entry values, kept sorted ascending."""
+    """Finite set of allowed integer entry values, kept sorted ascending."""
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(map(int, self.values))
+        vals = tuple(map(operator.index, self.values))
         if not vals:
             raise ValueError("alphabet must be nonempty")
         if not all(map(int.__lt__, vals, vals[1:])):

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cils import (
     Alphabet,
@@ -81,6 +83,11 @@ class TestProblemInstance:
         assert len(ex_instance.lattice.R) == ex_instance.n_rows
 
 
+def survivors(bundle):
+    """The feasible rows each output row can still take."""
+    return [bundle.feasible[lo:hi] for lo, hi in bundle.spans]
+
+
 class TestPruningTrace:
     """The per-column decode/prune walk pinned step by step."""
 
@@ -94,9 +101,10 @@ class TestPruningTrace:
         z1 = sphere_decode(ex_Y[:, 0], ex_G, 0.5, derive_column_sets(bundle, 0))
         assert z1[0].x == (1, 0, 0)
         pruned = prune_with_column(bundle, 0, z1[0].x)
-        assert [len(r) for r in pruned.rows] == [1, 5, 5]
-        assert pruned.rows[0][0] == (1, 1, -1, -1, 0, 0, 0)
-        for vec in pruned.rows[1]:
+        rows = survivors(pruned)
+        assert [len(r) for r in rows] == [1, 5, 5]
+        assert rows[0][0] == (1, 1, -1, -1, 0, 0, 0)
+        for vec in rows[1]:
             assert vec[0] == 0
 
     def test_second_column_sets_and_decode(self, ex_feasible, ex_Y, ex_G):
@@ -116,24 +124,84 @@ class TestPruningTrace:
         z3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets)
         assert z3[0].x == (-1, -1, 0)
         final = prune_with_column(bundle, 2, z3[0].x)
-        assert all(len(r) == 1 for r in final.rows)
-        assert tuple(r[0] for r in final.rows) == X_A_ROWS
+        rows = survivors(final)
+        assert all(len(r) == 1 for r in rows)
+        assert tuple(r[0] for r in rows) == X_A_ROWS
 
-    def test_singleton_rows_are_never_pruned(self, ex_feasible):
+    def test_value_contradicting_settled_row_rejected(self, ex_feasible):
         bundle = RowTreeBundle.initial(ex_feasible, 3)
         bundle = prune_with_column(bundle, 0, (1, 0, 0))
-        # row 0 is a singleton now; a conflicting value must leave it alone
-        again = prune_with_column(bundle, 1, (1, 0, 1))
-        assert again.rows[0] == bundle.rows[0]
+        # row 0 is settled on (1, 1, -1, ...); a 0 in its column 1 contradicts it
+        assert len(survivors(bundle)[0]) == 1
+        with pytest.raises(ValueError, match="row 0"):
+            prune_with_column(bundle, 1, (0, 0, 1))
 
     def test_emptying_choice_rejected(self):
-        bundle = RowTreeBundle(rows=(((0, 1), (1, 0)), ((0, 1), (1, 0))))
+        bundle = RowTreeBundle.initial([(0, 1), (1, 0)], 2)
         with pytest.raises(ValueError):
             prune_with_column(bundle, 0, (0, 7))  # 7 appears in no survivor
 
     def test_initial_requires_nonempty_feasible(self):
         with pytest.raises(ValueError):
             RowTreeBundle.initial([], 2)
+
+
+def filter_sets(rows_per_output, j):
+    """Reference: the sorted distinct j-th entries of each output row's rows."""
+    return [tuple(sorted({v[j] for v in rows})) for rows in rows_per_output]
+
+
+def filter_prune(rows_per_output, j, x_col):
+    """Reference: keep the rows whose j-th entry equals the chosen value."""
+    return [tuple(v for v in rows if v[j] == x) for rows, x in zip(rows_per_output, x_col)]
+
+
+@st.composite
+def unsorted_rows(draw):
+    """Distinct vectors of length 1-6 over a small alphabet, in random order.
+
+    The alphabet is any 1-4 distinct values of -6..6, so zero-free and
+    non-contiguous alphabets are drawn too.
+    """
+    values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True))
+    length = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.sampled_from(values)] * length)
+    rows = draw(st.lists(vector, min_size=1, max_size=40, unique=True))
+    return draw(st.permutations(rows))
+
+
+class TestRowRanges:
+    """The ranges into the sorted rows against a plain tuple filter."""
+
+    @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
+    def test_walk_matches_tuple_filter(self, rows, n_rows, data):
+        bundle = RowTreeBundle.initial(rows, n_rows)
+        reference = [tuple(rows)] * n_rows
+        for j in range(len(rows[0])):
+            expected = filter_sets(reference, j)
+            assert [a.values for a in derive_column_sets(bundle, j).sets] == expected
+            x_col = tuple(data.draw(st.sampled_from(vals)) for vals in expected)
+            bundle = prune_with_column(bundle, j, x_col)
+            reference = filter_prune(reference, j, x_col)
+            assert survivors(bundle) == [tuple(sorted(r)) for r in reference]
+        assert all(hi - lo == 1 for lo, hi in bundle.spans)
+
+    def test_columns_are_fixed_left_to_right(self, ex_feasible):
+        bundle = RowTreeBundle.initial(ex_feasible, 3)
+        with pytest.raises(ValueError, match="column 1"):
+            derive_column_sets(bundle, 1)
+        with pytest.raises(ValueError, match="column 1"):
+            prune_with_column(bundle, 1, (0, 0, 0))
+        bundle = prune_with_column(bundle, 0, (1, 0, 0))
+        with pytest.raises(ValueError, match="column 0"):
+            derive_column_sets(bundle, 0)
+        with pytest.raises(ValueError, match="column 0"):
+            prune_with_column(bundle, 0, (1, 0, 0))
+        for j in range(1, 7):
+            bundle = prune_with_column(bundle, j, tuple(row[j] for row in X_A_ROWS))
+        assert bundle.depth == 7
+        with pytest.raises(ValueError, match="column 7"):
+            derive_column_sets(bundle, 7)
 
 
 class TestSolve:

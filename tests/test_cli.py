@@ -5,6 +5,7 @@ stdout/stderr can be asserted directly.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestLoadInstance:
         tiny_doc["A"] = [[1.5, 1]]
         path = write_instance(tmp_path / "i.json", tiny_doc)
         with pytest.raises(ValueError, match="'A'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("S", [[-1, 0, 1.5], ["-1", "0", "1"], [False, True]])
+    def test_non_integer_alphabet_rejected(self, tmp_path, tiny_doc, S):
+        tiny_doc["S"] = S
+        path = write_instance(tmp_path / "i.json", tiny_doc)
+        with pytest.raises(ValueError, match="'S'"):
             load_instance(path)
 
     def test_error_carries_path(self, tmp_path, tiny_doc):
@@ -127,6 +135,25 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         assert reason in capsys.readouterr().err
 
+    @pytest.mark.parametrize("S", [[-1, 0, 1.5], ["-1", "0", "1"], [False, True]])
+    def test_non_integer_alphabet_exits_1(self, tmp_path, tiny_doc, capsys, S):
+        tiny_doc["S"] = S
+        path = write_instance(tmp_path / "bad.json", tiny_doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: key 'S': ")
+
+    @pytest.mark.parametrize("key", ["Y", "G", "d0"])
+    def test_huge_integer_exits_1(self, tmp_path, tiny_doc, capsys, key):
+        # a 400-digit JSON integer has no float value
+        huge = 10**400
+        tiny_doc[key] = huge if key == "d0" else [[huge] * len(tiny_doc[key][0])]
+        path = write_instance(tmp_path / "huge.json", tiny_doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: key '{key}': ")
+        assert "Traceback" not in err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
@@ -193,7 +220,7 @@ class TestGenCommand:
         sidecar = planted_sidecar_path(str(out))
         assert sidecar.endswith("inst.planted.json")
         doc = json.loads(out.read_text(encoding="utf-8"))
-        planted = json.loads(open(sidecar, encoding="utf-8").read())
+        planted = json.loads(Path(sidecar).read_text(encoding="utf-8"))
         assert set(doc) == {"Y", "G", "A", "S", "K", "N"}
         assert len(planted["X"]) == 2
 
@@ -220,7 +247,7 @@ class TestGenCommand:
         assert a.read_bytes() == b.read_bytes()
         sa = planted_sidecar_path(str(a))
         sb = planted_sidecar_path(str(b))
-        assert open(sa, "rb").read() == open(sb, "rb").read()
+        assert Path(sa).read_bytes() == Path(sb).read_bytes()
 
     def test_sigma_zero_then_solve_objective_zero(self, tmp_path, capsys):
         out = tmp_path / "noiseless.json"

@@ -91,6 +91,16 @@ class TestAlphabet:
         s = Alphabet((-2, 0, 3))
         assert 3 in s and -2 in s and 1 not in s
 
+    @pytest.mark.parametrize("values", [(-1, 0, 1.5), (-1.0, 0.0, 1.0), ("-1", "0", "1")])
+    def test_rejects_non_integers(self, values):
+        with pytest.raises(TypeError, match="integer"):
+            Alphabet(values)
+
+    def test_integer_types_become_python_ints(self):
+        s = Alphabet(tuple(np.array([-2, 0, 5], dtype=np.int16)))
+        assert s.values == (-2, 0, 5)
+        assert all(type(v) is int for v in s.values)
+
 
 def matrix(rows) -> IntMatrix:
     return IntMatrix(tuple(tuple(r) for r in rows))
