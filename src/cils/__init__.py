@@ -29,7 +29,7 @@ from .dioph import (
     solve_diophantine_sparse,
     tree_leaves,
 )
-from .harness import BenchRecord, GenSpec, GenerationError, generate_instance, run_bench
+from .harness import GenSpec, GenerationError, generate_instance, load_specs, run_bench
 from .intlin import HnfResult, IntMatrix, hermite_normal_form, int_det, int_rank, validate_hnf
 from .oracle import BudgetExceededError, OracleBudget, oracle_F, oracle_solve, oracle_sphere
 from .spheredec import (
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BenchRecord",
     "BudgetExceededError",
     "CandidateSets",
     "DiophStats",
@@ -70,6 +69,7 @@ __all__ = [
     "hermite_normal_form",
     "int_det",
     "int_rank",
+    "load_specs",
     "objective",
     "oracle_F",
     "oracle_solve",

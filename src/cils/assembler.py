@@ -76,7 +76,8 @@ class ProblemInstance:
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N).  G must have full
-    column rank, so M >= N.  `radius` optionally fixes the initial per-column
+    column rank, so M >= N, and every alphabet value must convert to a float
+    for the decoder.  `radius` optionally fixes the initial per-column
     radius d, which sets the first objective cap L d^2 of the search; it must
     be positive and finite, and when None a rounding-based radius is derived
     per solve.  The QR-factored G that every decode reuses is built once, as
@@ -132,6 +133,12 @@ class ProblemInstance:
             raise ValueError(
                 f"sparsity budget {self.sparsity} must lie in [0, {self.A.cols}]"
             )
+        try:
+            float(self.alphabet.values[0]), float(self.alphabet.values[-1])
+        except OverflowError:
+            raise ValueError(
+                "alphabet values must lie within the float range; the decoder works in floats"
+            ) from None
         if self.radius is not None and not 0.0 < float(self.radius) < math.inf:
             raise ValueError("radius, when given, must be positive and finite")
         Y.setflags(write=False)

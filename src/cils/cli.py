@@ -6,7 +6,8 @@ rank) and optionally d0 (initial per-column radius d, which sets the first
 objective cap L d^2).  Exit codes: 0 success, 1 input error, 2 infeasible,
 3 oracle budget refusal, 4 oracle cross-check mismatch.
 The environment variable CILS_ORACLE_BUDGET overrides the oracle's
-enumeration cap.
+enumeration cap.  Bench spec files are read by cils.harness.load_specs, and
+`bench` writes its per-trial records as one JSON array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .assembler import InfeasibleError, ProblemInstance, SolveResult, solve
 from .dioph import Alphabet
-from .harness import GenSpec, GenerationError, generate_instance, run_bench
+from .harness import GenSpec, GenerationError, generate_instance, load_specs, run_bench
 from .intlin import IntMatrix
 from .oracle import BudgetExceededError, OracleBudget, oracle_solve
 
@@ -208,37 +209,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_bench_specs(path) -> list[GenSpec]:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, list):
-        raise ValueError(f"{path}: top level must be a JSON array of spec objects")
-    specs = []
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: spec {i}: expected an object")
-        try:
-            specs.append(
-                GenSpec(
-                    n_rows=entry["rows"],
-                    n_cols=entry["cols"],
-                    n_meas=entry["meas"],
-                    alphabet=Alphabet(tuple(entry["S"])),
-                    n_constraints=entry.get("constraints", 7),
-                    sparsity=entry.get("K", 4),
-                    sigma=entry.get("sigma", 0.2),
-                    seed=entry.get("seed", 0),
-                    trials=entry.get("trials", 5),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValueError(f"{path}: spec {i}: {e!r}") from e
-    return specs
-
-
 def cmd_bench(args) -> int:
-    specs = _load_bench_specs(args.specfile)
-    records = run_bench(specs, args.out)
+    records = run_bench(load_specs(args.specfile))
+    _write_json(args.out, records)
     print(f"wrote {len(records)} record(s) to {args.out}")
     return EXIT_OK
 
@@ -273,9 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default="instance.json", help="instance output path")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark spec file and write a CSV")
-    p_bench.add_argument("specfile", help="JSON array of generation specs")
-    p_bench.add_argument("--out", default="bench.csv", help="CSV output path")
+    p_bench = sub.add_parser(
+        "bench", help="solve every trial of a bench spec file and write one JSON record per trial"
+    )
+    p_bench.add_argument(
+        "specfile", help="JSON array of generation specs (see scripts/hard_tier.json)"
+    )
+    p_bench.add_argument(
+        "--out", default="bench.json", help="JSON output path (an array of per-trial records)"
+    )
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

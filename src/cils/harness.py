@@ -1,4 +1,4 @@
-"""Reproducible instance generation and benchmark sweeps.
+"""Reproducible instance generation and the benchmark runner.
 
 Instances are generated backwards from a planted solution: first N sparse
 alphabet rows with full rank are drawn, then the constraint matrix A is built
@@ -11,22 +11,28 @@ almost never does.
 
 All randomness flows through numpy's seeded default generator, and per-trial
 seeds are derived with SeedSequence, so runs are reproducible across machines.
+
+A bench spec file is a JSON array of objects with the keys rows, cols, meas
+and S (required) and constraints, K, sigma, seed and trials (optional); each
+object is one GenSpec.  `load_specs` reads such a file and `run_bench` solves
+every trial of every spec, returning one plain record per trial: the spec's
+keys (all but trials), the trial index and seed, the objective, whether the
+planted X was recovered, and every SolveStats counter under its own name.
 """
 
 from __future__ import annotations
 
-import csv
-import statistics
-import time
-from dataclasses import dataclass, replace
+import json
+import math
+import numbers
+import operator
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .assembler import ProblemInstance, SolveResult, solve, verify_solution
 from .dioph import Alphabet, IntVector
 from .intlin import IntMatrix, hermite_normal_form, int_rank
-
-CSV_HEADER = ["size", "rank", "n", "avg_time_s", "avg_nodes", "recovered", "trials"]
 
 _MAX_ATTEMPTS = 50
 
@@ -42,7 +48,8 @@ class GenSpec:
     n_rows is both the number of planted rows and the target rank; n_cols is
     the row length; n_meas the number of measurement rows in Y and G;
     n_constraints the number of rows in A.  sigma scales the i.i.d. Gaussian
-    noise added to Y.
+    noise added to Y.  The integer fields must be integers (a bool is
+    rejected) and sigma a finite nonnegative real.
     """
 
     n_rows: int
@@ -56,6 +63,9 @@ class GenSpec:
     trials: int = 5
 
     def __post_init__(self) -> None:
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "sigma", _noise_scale(self.sigma, "sigma"))
         if not 1 <= self.n_rows <= self.n_cols:
             raise ValueError("need 1 <= n_rows <= n_cols")
         if self.n_meas < self.n_rows:
@@ -64,21 +74,88 @@ class GenSpec:
             raise ValueError("sparsity must lie in [1, n_cols]")
         if self.n_constraints < 1:
             raise ValueError("need at least one constraint row")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        try:
+            float(self.alphabet.values[0]), float(self.alphabet.values[-1])
+        except OverflowError:
+            raise ValueError("alphabet values must lie within the float range") from None
         if self.trials < 1:
             raise ValueError("need at least one trial")
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """Aggregate of one configuration's trials; avg_nodes counts dioph nodes."""
+def _integer(value, name: str) -> int:
+    """value as a Python int; a bool or a non-integer raises ValueError naming `name`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
-    spec: GenSpec
-    n: int
-    avg_time: float
-    avg_nodes: float
-    recovery_count: int
+
+def _noise_scale(value, name: str) -> float:
+    """value as a finite nonnegative float; anything else raises ValueError naming `name`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            sigma = float(value)
+        except OverflowError:
+            sigma = math.inf
+        if 0.0 <= sigma < math.inf:
+            return sigma
+    raise ValueError(f"{name}: expected a finite nonnegative real, got {value!r}")
+
+
+def _alphabet(value, name: str) -> Alphabet:
+    if not isinstance(value, list) or any(isinstance(v, bool) for v in value):
+        raise ValueError(f"{name}: expected a list of integers")
+    try:
+        return Alphabet(tuple(value))
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name}: {e}") from None
+
+
+# bench spec file key -> (GenSpec field, parser)
+_SPEC_KEYS = {
+    "rows": ("n_rows", _integer),
+    "cols": ("n_cols", _integer),
+    "meas": ("n_meas", _integer),
+    "S": ("alphabet", _alphabet),
+    "constraints": ("n_constraints", _integer),
+    "K": ("sparsity", _integer),
+    "sigma": ("sigma", _noise_scale),
+    "seed": ("seed", _integer),
+    "trials": ("trials", _integer),
+}
+_REQUIRED_SPEC_KEYS = ("rows", "cols", "meas", "S")
+_INTEGER_FIELDS = tuple(field for field, parse in _SPEC_KEYS.values() if parse is _integer)
+
+
+def _parse_spec(where: str, entry) -> GenSpec:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object")
+    for key in _REQUIRED_SPEC_KEYS:
+        if key not in entry:
+            raise ValueError(f"{where}: missing key {key!r}")
+    kwargs = {}
+    for key, value in entry.items():
+        if key not in _SPEC_KEYS:
+            raise ValueError(f"{where}: unknown key {key!r}")
+        field, parse = _SPEC_KEYS[key]
+        kwargs[field] = parse(value, f"{where}: key {key!r}")
+    try:
+        return GenSpec(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
+def load_specs(path) -> list[GenSpec]:
+    """Read a bench spec file; every error names the path, the spec index and the key."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = json.load(f)
+    if not isinstance(doc, list):
+        raise ValueError(f"{path}: top level must be a JSON array of spec objects")
+    return [_parse_spec(f"{path}: spec {i}", entry) for i, entry in enumerate(doc)]
 
 
 def _draw_planted_rows(rng: np.random.Generator, spec: GenSpec) -> IntMatrix | None:
@@ -179,49 +256,36 @@ def run_trial(spec: GenSpec, trial_seed: int) -> tuple[SolveResult, bool]:
     return result, result.X == planted
 
 
-def run_bench(specs: list[GenSpec], out_path) -> list[BenchRecord]:
-    """Run every configuration and write one CSV row per configuration.
+def run_bench(specs: list[GenSpec]) -> list[dict]:
+    """Solve every trial of every spec in order and return one record per trial.
 
-    Columns: size,rank,n,avg_time_s,avg_nodes,recovered,trials with size
-    formatted as rows x cols.  Lines always end with LF.  Every solution is
-    re-verified against the full constraint set before being counted.
+    A record holds the spec's keys as a spec file spells them (trials aside),
+    `trial` (the 0-based index into trial_seeds(spec)), `trial_seed`,
+    `objective`, `recovered` (the solution equals the planted X) and every
+    SolveStats field.  Every solution is re-verified against the full
+    constraint set.  Prints one [bench] line per trial and writes no file.
     """
-    records: list[BenchRecord] = []
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for spec in specs:
-            times: list[float] = []
-            nodes: list[int] = []
-            recovered = 0
-            for t, tseed in enumerate(trial_seeds(spec)):
-                t0 = time.perf_counter()
-                result, hit = run_trial(spec, tseed)
-                times.append(time.perf_counter() - t0)
-                nodes.append(result.stats.dioph_nodes)
-                recovered += int(hit)
-                print(
-                    f"[bench] {spec.n_rows}x{spec.n_cols} trial {t + 1}/{spec.trials}: "
-                    f"objective={result.objective:.6g} nodes={result.stats.dioph_nodes} "
-                    f"recovered={hit}"
-                )
-            record = BenchRecord(
-                spec=spec,
-                n=spec.n_rows * spec.n_cols,
-                avg_time=statistics.fmean(times),
-                avg_nodes=statistics.fmean(nodes),
-                recovery_count=recovered,
+    records: list[dict] = []
+    for spec in specs:
+        spec_fields = {
+            key: getattr(spec, field) for key, (field, _) in _SPEC_KEYS.items() if key != "trials"
+        }
+        spec_fields["S"] = list(spec.alphabet)
+        for t, tseed in enumerate(trial_seeds(spec)):
+            result, hit = run_trial(spec, tseed)
+            print(
+                f"[bench] {spec.n_rows}x{spec.n_cols} trial {t + 1}/{spec.trials}: "
+                f"objective={result.objective:.6g} dioph_nodes={result.stats.dioph_nodes} "
+                f"sphere_calls={result.stats.sphere_calls} recovered={hit}"
             )
-            records.append(record)
-            writer.writerow(
-                [
-                    f"{spec.n_rows}x{spec.n_cols}",
-                    spec.n_rows,
-                    record.n,
-                    f"{record.avg_time:.6f}",
-                    f"{record.avg_nodes:.1f}",
-                    record.recovery_count,
-                    spec.trials,
-                ]
+            records.append(
+                {
+                    **spec_fields,
+                    "trial": t,
+                    "trial_seed": tseed,
+                    "objective": result.objective,
+                    "recovered": hit,
+                    **asdict(result.stats),
+                }
             )
     return records

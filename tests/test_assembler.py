@@ -5,6 +5,7 @@ special case.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,10 +32,11 @@ from cils import (
     verify_solution,
 )
 from cils.assembler import _suffix_bound
-from cils.harness import trial_seeds
+from cils.harness import load_specs, trial_seeds
 from conftest import FEASIBLE_7, X_A_ROWS
 
 S3 = Alphabet((-1, 0, 1))
+HARD_TIER = Path(__file__).resolve().parents[1] / "scripts" / "hard_tier.json"
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,13 @@ class TestProblemInstance:
     def test_rank_must_match_g_columns(self, ex_Y, ex_G, ex_A, s3):
         with pytest.raises(ValueError):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=2)
+
+    def test_alphabet_beyond_float_range_rejected(self, ex_Y, ex_G, ex_A):
+        # exact in Alphabet and dioph, but the decoder needs float values
+        for values in ((-(10**400), 0, 1), (-1, 0, 10**400)):
+            with pytest.raises(ValueError, match="float range"):
+                ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=Alphabet(values),
+                                sparsity=4, target_rank=3)
 
     def test_fewer_measurements_than_rows_rejected(self, ex_Y, ex_G, ex_A, s3):
         with pytest.raises(ValueError, match="at least as many rows"):
@@ -293,17 +302,8 @@ class TestSolve:
     def test_hard_instance_within_decode_budget(self):
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
         # place of doubling it, takes about 140k decodes; doubling takes 1,683
-        spec = GenSpec(
-            n_rows=5,
-            n_cols=14,
-            n_meas=6,
-            alphabet=Alphabet((-2, -1, 0, 1, 2)),
-            n_constraints=6,
-            sparsity=4,
-            sigma=0.5,
-            seed=3677149159,
-        )
-        inst, _ = generate_instance(spec)
+        spec = load_specs(HARD_TIER)[2]
+        inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
         res = solve(inst)
         assert res.objective == pytest.approx(23.041300291816217, rel=1e-9)
         assert res.stats.sphere_calls <= 5_000
@@ -312,21 +312,14 @@ class TestSolve:
         # the 12 hard-tier instances (three shapes, four trial seeds each):
         # objectives pinned, total decodes under a ceiling (14,185 measured
         # with the column-floor bound, 189,505 with the outside-span bound)
-        S5 = Alphabet((-2, -1, 0, 1, 2))
-        tiers = [
-            (GenSpec(n_rows=4, n_cols=12, n_meas=6, alphabet=S3, n_constraints=7,
-                     sparsity=4, sigma=1.0, seed=2, trials=4),
-             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507]),
-            (GenSpec(n_rows=4, n_cols=12, n_meas=5, alphabet=S3, n_constraints=4,
-                     sparsity=4, sigma=0.6, seed=0, trials=4),
-             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527]),
-            (GenSpec(n_rows=5, n_cols=14, n_meas=6, alphabet=S5, n_constraints=6,
-                     sparsity=4, sigma=0.5, seed=0, trials=4),
-             [18.969213179759812, 23.041300291816217, 15.973124163967451, 24.578878819742226]),
+        objectives = [
+            [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
+            [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
+            [18.969213179759812, 23.041300291816217, 15.973124163967451, 24.578878819742226],
         ]
         calls = 0
-        for spec, objectives in tiers:
-            for trial_seed, want in zip(trial_seeds(spec), objectives):
+        for spec, wants in zip(load_specs(HARD_TIER), objectives, strict=True):
+            for trial_seed, want in zip(trial_seeds(spec), wants, strict=True):
                 inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
                 res = solve(inst)
                 assert res.objective == pytest.approx(want, rel=1e-9)

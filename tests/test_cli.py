@@ -154,6 +154,18 @@ class TestSolveCommand:
         assert err.startswith(f"error: {path}: key '{key}': ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("d0", [None, 1.0])
+    def test_alphabet_beyond_float_range_exits_1(self, tmp_path, tiny_doc, capsys, d0):
+        # exact in Alphabet and dioph, but the decoder needs float values
+        tiny_doc["S"] = [-(10**400), 0, 10**400]
+        if d0 is not None:
+            tiny_doc["d0"] = d0
+        path = write_instance(tmp_path / "wide.json", tiny_doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid instance: alphabet values")
+        assert "Traceback" not in err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
@@ -265,26 +277,56 @@ class TestGenCommand:
 
 
 class TestBenchCommand:
-    def test_two_spec_file_two_rows(self, tmp_path, capsys):
+    SPEC = {"rows": 2, "cols": 5, "meas": 3, "S": [-1, 0, 1], "K": 3, "trials": 1}
+
+    def write_specs(self, tmp_path, specs):
         specfile = tmp_path / "specs.json"
-        specfile.write_text(
-            json.dumps(
-                [
-                    {"rows": 2, "cols": 5, "meas": 3, "S": [-1, 0, 1], "K": 3, "trials": 1},
-                    {"rows": 2, "cols": 6, "meas": 3, "S": [-1, 0, 1], "K": 3, "trials": 1, "seed": 1},
-                ]
-            ),
-            encoding="utf-8",
-        )
-        out = tmp_path / "bench.csv"
-        assert main(["bench", str(specfile), "--out", str(out)]) == 0
-        lines = out.read_text(encoding="utf-8").strip().splitlines()
-        assert lines[0] == "size,rank,n,avg_time_s,avg_nodes,recovered,trials"
-        assert len(lines) == 3
-        assert lines[1].startswith("2x5,2,10,")
-        assert lines[2].startswith("2x6,2,12,")
+        specfile.write_text(json.dumps(specs), encoding="utf-8")
+        return str(specfile)
+
+    def test_two_spec_file_two_records(self, tmp_path, capsys):
+        specfile = self.write_specs(tmp_path, [self.SPEC, {**self.SPEC, "cols": 6, "seed": 1}])
+        out = tmp_path / "bench.json"
+        assert main(["bench", specfile, "--out", str(out)]) == 0
+        records = json.loads(out.read_text(encoding="utf-8"))
+        assert [r["cols"] for r in records] == [5, 6]
+        assert [r["seed"] for r in records] == [0, 1]
+        assert all(r["sphere_calls"] >= 1 for r in records)
+        assert "sphere_calls=" in capsys.readouterr().out
 
     def test_malformed_specfile_exits_1(self, tmp_path, capsys):
-        specfile = tmp_path / "specs.json"
-        specfile.write_text(json.dumps({"rows": 2}), encoding="utf-8")
-        assert main(["bench", str(specfile)]) == 1
+        specfile = self.write_specs(tmp_path, {"rows": 2})
+        out = tmp_path / "bench.json"
+        assert main(["bench", specfile, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"sparsity": 1}, "sparsity"),
+            ({"S": [False, True]}, "S"),
+            ({"rows": True}, "rows"),
+            ({"rows": 2.0}, "rows"),
+            ({"trials": 1.5}, "trials"),
+            ({"sigma": float("nan")}, "sigma"),
+            ({"sigma": float("inf")}, "sigma"),
+            ({"sigma": "0.2"}, "sigma"),
+            ({"rows": None}, "rows"),
+        ],
+        ids=[
+            "misspelt-K", "bool-S", "bool-rows", "float-rows", "float-trials",
+            "nan-sigma", "inf-sigma", "str-sigma", "missing-rows",
+        ],
+    )
+    def test_bad_spec_exits_1_naming_index_and_key(self, tmp_path, capsys, change, key):
+        # the bad spec comes second, after a valid one, so the message must
+        # name index 1 and the run must leave no partial output behind
+        bad = {k: v for k, v in {**self.SPEC, **change}.items() if v is not None}
+        specfile = self.write_specs(tmp_path, [self.SPEC, bad])
+        out = tmp_path / "bench.json"
+        assert main(["bench", specfile, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {specfile}: spec 1: ")
+        assert f"key {key!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()

@@ -1,9 +1,10 @@
-"""Instance generation and benchmark sweep tests: determinism, planted
-feasibility, and the CSV contract.
+"""Instance generation and benchmark runner tests: determinism, planted
+feasibility, spec validation, the bench spec files and the per-trial records.
 """
 
-import csv
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +16,15 @@ from cils import (
     generate_instance,
     objective,
     oracle_F,
+    SolveStats,
     run_bench,
     solve,
     verify_solution,
 )
-from cils.harness import CSV_HEADER, trial_seeds
+from cils.harness import load_specs, trial_seeds
 
 S3 = Alphabet((-1, 0, 1))
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def small_spec(**overrides) -> GenSpec:
@@ -46,6 +49,27 @@ class TestGenSpec:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             small_spec(trials=0)
+
+    @pytest.mark.parametrize(
+        "field", ["n_rows", "n_cols", "n_meas", "n_constraints", "sparsity", "seed", "trials"]
+    )
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+            small_spec(**{field: value})
+
+    def test_integer_fields_become_python_ints(self):
+        spec = small_spec(n_rows=np.int16(2), seed=np.uint32(7))
+        assert type(spec.n_rows) is int and type(spec.seed) is int
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, "0.2", True, 10**400])
+    def test_sigma_must_be_finite_real(self, sigma):
+        with pytest.raises(ValueError, match="sigma: expected a finite nonnegative real"):
+            small_spec(sigma=sigma)
+
+    def test_alphabet_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="float range"):
+            small_spec(alphabet=Alphabet((-(10**400), 0, 10**400)))
 
 
 class TestGenerateInstance:
@@ -107,50 +131,67 @@ class TestTrialSeeds:
         assert full[:2] == head
 
 
+class TestSpecFiles:
+    def test_stretch_tier_loads_without_solving(self):
+        (spec,) = load_specs(SCRIPTS / "stretch_tier.json")
+        assert (spec.n_rows, spec.n_cols, spec.n_meas, spec.trials) == (6, 16, 8, 4)
+        assert (spec.alphabet, spec.n_constraints, spec.sparsity) == (S3, 6, 5)
+        assert (spec.sigma, spec.seed) == (0.5, 0)
+
+    def test_quick_sweep_file_loads(self):
+        specs = load_specs(SCRIPTS / "bench_specs.json")
+        assert sum(s.trials for s in specs) == 20
+
+    def test_defaults_fill_optional_keys(self, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text('[{"rows": 2, "cols": 5, "meas": 3, "S": [-1, 0, 1]}]', encoding="utf-8")
+        (spec,) = load_specs(path)
+        assert spec == GenSpec(n_rows=2, n_cols=5, n_meas=3, alphabet=S3)
+
+
+RECORD_KEYS = {
+    "rows", "cols", "meas", "S", "constraints", "K", "sigma", "seed",
+    "trial", "trial_seed", "objective", "recovered",
+    *(f.name for f in dataclasses.fields(SolveStats)),
+}
+
+
+def without_wall_time(records):
+    return [{k: v for k, v in r.items() if k != "wall_time"} for r in records]
+
+
 class TestRunBench:
-    def test_empty_spec_list_header_only(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        records = run_bench([], out)
-        assert records == []
-        text = out.read_text(encoding="utf-8")
-        assert text == ",".join(CSV_HEADER) + "\n"
+    def test_empty_spec_list_gives_no_records(self):
+        assert run_bench([]) == []
 
-    def test_single_spec_single_trial(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
+    def test_single_spec_single_trial(self, capsys):
         spec = small_spec(trials=1)
-        records = run_bench([spec], out)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.n == spec.n_rows * spec.n_cols
-        assert 0 <= rec.recovery_count <= 1
-        # the per-trial verification line is echoed
-        assert "[bench]" in capsys.readouterr().out
-        with open(out, newline="", encoding="utf-8") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == CSV_HEADER
-        assert len(rows) == 2
-        assert rows[1][0] == "2x5"
-        assert rows[1][6] == "1"
+        (rec,) = run_bench([spec])
+        assert set(rec) == RECORD_KEYS
+        assert (rec["rows"], rec["cols"], rec["S"], rec["seed"]) == (2, 5, [-1, 0, 1], 42)
+        assert (rec["trial"], rec["trial_seed"]) == (0, trial_seeds(spec)[0])
+        assert rec["sphere_calls"] >= 1
+        # the per-trial line is echoed with the decode count
+        assert "sphere_calls=" in capsys.readouterr().out
 
-    def test_lf_line_endings(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        run_bench([small_spec(trials=1)], out)
-        raw = out.read_bytes()
-        assert b"\r" not in raw
-        assert raw.endswith(b"\n")
+    def test_one_record_per_trial_in_order(self):
+        specs = [small_spec(trials=2), small_spec(n_cols=6, trials=3)]
+        records = run_bench(specs)
+        assert [(r["cols"], r["trial"]) for r in records] == [
+            (5, 0), (5, 1), (6, 0), (6, 1), (6, 2)
+        ]
 
-    def test_reproducible_up_to_timing(self, tmp_path):
+    def test_reproducible_up_to_timing(self):
         spec = small_spec(trials=2)
-        r1 = run_bench([spec], tmp_path / "a.csv")[0]
-        r2 = run_bench([spec], tmp_path / "b.csv")[0]
-        assert r1.spec == r2.spec
-        assert r1.n == r2.n
-        assert r1.avg_nodes == r2.avg_nodes
-        assert r1.recovery_count == r2.recovery_count
+        assert without_wall_time(run_bench([spec])) == without_wall_time(run_bench([spec]))
 
-    def test_solutions_verified_during_bench(self, tmp_path):
-        # run_bench verifies internally; re-verify by hand here
-        spec = small_spec(trials=2)
-        for tseed in trial_seeds(spec):
-            inst, _ = generate_instance(dataclasses.replace(spec, seed=tseed))
-            verify_solution(inst, solve(inst).X)
+    def test_solutions_verified_during_bench(self):
+        # regenerate and re-solve each trial: the record's objective and
+        # recovered flag must match, and the solution must verify
+        spec = small_spec(trials=3)
+        for rec, tseed in zip(run_bench([spec]), trial_seeds(spec)):
+            inst, planted = generate_instance(dataclasses.replace(spec, seed=tseed))
+            res = solve(inst)
+            verify_solution(inst, res.X)
+            assert rec["objective"] == res.objective
+            assert rec["recovered"] is (res.X == planted)
