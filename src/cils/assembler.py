@@ -30,6 +30,16 @@ that finds a leaf returns the global optimum, and a pass that finds none
 proves the optimum is at least the cap.  The first cap is L d^2 for an
 initial per-column radius d, clamped into the positive finite floats; it
 doubles after each pass that finds nothing.
+
+Decode reuse: column j of Y is fixed per instance, so j and the per-row
+candidate sets determine a column decode up to its radius, and sibling
+branches and later passes ask for the same decode again.  sphere_decode
+returns every x with dist2 <= r^2 (1 + BOUNDARY_SLACK), sorted by
+(dist2, x), so the decode at radius r is the prefix of the decode at any
+R >= r that stops at that bound.  One memo per solve keeps the widest
+decode made so far per (j, candidate sets) and answers a request at a
+radius no wider by bisecting its list with the decoder's own bound
+expression, so the candidates are bitwise those a fresh decode returns.
 """
 
 from __future__ import annotations
@@ -46,8 +56,10 @@ import numpy as np
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
 from .spheredec import (
+    BOUNDARY_SLACK,
     CandidateSets,
     PreparedLattice,
+    SphereCandidate,
     babai_radius,
     column_floors,
     sphere_decode,
@@ -59,6 +71,12 @@ BOUND_SLACK = 1e-9
 
 # factor by which the objective cap grows after a pass that finds no leaf
 CAP_GROWTH = 2.0
+
+# (column, per-row candidate values) -> (radius, candidates) of the widest
+# decode of that column and candidate sets made so far in one solve
+DecodeMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[float, list[SphereCandidate]]]
+
+_dist2 = operator.attrgetter("dist2")
 
 
 class InfeasibleError(Exception):
@@ -77,7 +95,8 @@ class ProblemInstance:
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N).  G must have full
     column rank, so M >= N, and every alphabet value must convert to a float
-    for the decoder.  `radius` optionally fixes the initial per-column
+    for the decoder, at a scale where ||Y - G X||^2 stays a finite float.
+    `radius` optionally fixes the initial per-column
     radius d, which sets the first objective cap L d^2 of the search; it must
     be positive and finite, and when None a rounding-based radius is derived
     per solve.  The QR-factored G that every decode reuses is built once, as
@@ -134,11 +153,20 @@ class ProblemInstance:
                 f"sparsity budget {self.sparsity} must lie in [0, {self.A.cols}]"
             )
         try:
-            float(self.alphabet.values[0]), float(self.alphabet.values[-1])
+            s_max = max(abs(float(self.alphabet.values[0])), abs(float(self.alphabet.values[-1])))
         except OverflowError:
             raise ValueError(
                 "alphabet values must lie within the float range; the decoder works in floats"
             ) from None
+        # every entry of Y - G X is at most s_max * sum|G| + max|Y| in size,
+        # so this bounds ||Y - G X||^2 and every partial cost the decoder sums
+        with np.errstate(over="ignore"):
+            scale = s_max * float(np.abs(G).sum()) + float(np.abs(Y).max())
+        if not math.isfinite(Y.size * scale * scale):
+            raise ValueError(
+                f"alphabet values up to {s_max:.3g} in magnitude, against this Y and G, "
+                "overflow the squared residual ||Y - G X||^2 in floats"
+            )
         if self.radius is not None and not 0.0 < float(self.radius) < math.inf:
             raise ValueError("radius, when given, must be positive and finite")
         Y.setflags(write=False)
@@ -166,18 +194,23 @@ class SolveStats:
     """Work counters of one solve.
 
     `radius_expansions` counts the doublings of the objective cap after
-    passes that found no leaf; `backtracks` counts empty decodes plus
-    rank-rejected leaves, and `rank_rejects` the rank-rejected leaves alone;
+    passes that found no leaf; `backtracks` counts empty candidate lists,
+    whether decoded or reused, plus rank-rejected leaves, and `rank_rejects`
+    the rank-rejected leaves alone;
     `bound_prunes` counts column subtrees the bound cut before decoding them:
     a candidate dropped because acc + dist2 + LB(j+1) reached the best
     objective (or the cap), or a column whose remaining budget was already
     spent.  LB is the suffix sum of the per-column alphabet-relaxed floors,
     which are computed without sphere_decode, so `sphere_calls` counts the
-    search's decodes only.
+    search's decodes only.  `decode_reuses` counts the column decodes
+    answered from a wider decode of the same column and candidate sets
+    earlier in the solve, so sphere_calls + decode_reuses is the number of
+    column decodes the search asked for.
     """
 
     dioph_nodes: int = 0
     sphere_calls: int = 0
+    decode_reuses: int = 0
     radius_expansions: int = 0
     backtracks: int = 0
     rank_rejects: int = 0
@@ -328,11 +361,24 @@ def _suffix_bound(instance: ProblemInstance, F: np.ndarray) -> list[float]:
     return (suffix * (1.0 - BOUND_SLACK)).tolist()
 
 
+def _cut_decode(candidates: list[SphereCandidate], radius: float) -> list[SphereCandidate]:
+    """sphere_decode's result at `radius`, from its result for the same y, G
+    and sets at any radius at least as wide.
+
+    The wider result is sorted by dist2 and holds every point within the
+    decoder's inclusion bound, so the narrower one is its prefix up to that
+    bound, computed here by the expression sphere_decode uses, bit for bit.
+    """
+    include = radius * radius * (1.0 + BOUNDARY_SLACK)
+    return candidates[: bisect_right(candidates, include, key=_dist2)]
+
+
 def _search(
     instance: ProblemInstance,
     bundle0: RowTreeBundle,
     cap: float,
     lb: list[float],
+    memo: DecodeMemo,
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
     """Best leaf with objective below `cap`, or None if every leaf reaches it.
@@ -343,7 +389,9 @@ def _search(
     best objective.  lb[j] = sum over k >= j of the column floors c_k (see
     _suffix_bound): no feasible column k fits better than c_k, so each prune
     discards only leaves costing at least the best objective, and a returned
-    leaf is the minimum over all leaves below the cap.
+    leaf is the minimum over all leaves below the cap.  `memo` holds the
+    widest decode per (column, candidate sets) made so far in the solve; a
+    decode no wider is cut from it (see the module docstring).
     """
     Y, G, lattice = instance.Y, instance.G, instance.lattice
     feasible = bundle0.feasible
@@ -371,8 +419,16 @@ def _search(
             stats.bound_prunes += 1
             return
         sets = derive_column_sets(bundle, j)
-        candidates = sphere_decode(cols[j], lattice, math.sqrt(budget), sets)
-        stats.sphere_calls += 1
+        radius = math.sqrt(budget)
+        key = (j, tuple(a.values for a in sets.sets))
+        known = memo.get(key)
+        if known is not None and radius <= known[0]:
+            candidates = _cut_decode(known[1], radius)
+            stats.decode_reuses += 1
+        else:
+            candidates = sphere_decode(cols[j], lattice, radius, sets)
+            memo[key] = (radius, candidates)
+            stats.sphere_calls += 1
         if not candidates:
             stats.backtracks += 1
             return
@@ -417,11 +473,12 @@ def solve(instance: ProblemInstance) -> SolveResult:
     # clamp the first cap into the positive finite floats: L d^2 underflows
     # to 0 for d below about 1e-162 and overflows to inf above about 1e154
     cap = min(max(instance.n_cols * d * d, sys.float_info.min), sys.float_info.max)
-    best = _search(instance, bundle0, cap, lb, stats)
+    memo: DecodeMemo = {}
+    best = _search(instance, bundle0, cap, lb, memo, stats)
     while best is None:
         cap *= CAP_GROWTH
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, cap, lb, stats)
+        best = _search(instance, bundle0, cap, lb, memo, stats)
     obj, X = best
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0

@@ -5,6 +5,7 @@ stdout/stderr can be asserted directly.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,7 @@ class TestSolveCommand:
         for field in (
             "dioph_nodes",
             "sphere_calls",
+            "decode_reuses",
             "radius_expansions",
             "backtracks",
             "rank_rejects",
@@ -164,6 +166,22 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: invalid instance: alphabet values")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("d0", [None, 0.5])
+    def test_alphabet_overflowing_residual_exits_1(self, ex_file, tmp_path, capsys, d0):
+        # +-1e160 converts to float, but squared residuals of that size do not
+        doc = json.loads(Path(ex_file).read_text(encoding="utf-8"))
+        doc["S"] = [-(10**160), 0, 10**160]
+        doc.pop("d0")
+        if d0 is not None:
+            doc["d0"] = d0
+        path = write_instance(tmp_path / "wide.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid instance: alphabet values up to 1e+160")
         assert "Traceback" not in err
 
     def test_missing_file_exits_1(self, tmp_path):

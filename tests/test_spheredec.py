@@ -27,7 +27,8 @@ from cils import (
     solve_diophantine_sparse,
     sphere_decode,
 )
-from cils.assembler import _suffix_bound
+from cils.assembler import _cut_decode, _suffix_bound
+from cils.spheredec import BOUNDARY_SLACK
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -180,6 +181,40 @@ class TestSphereDecode:
             large = sphere_decode(y, G, d * 1.7, sets)
             assert [c.x for c in large[: len(small)]] == [c.x for c in small]
             assert len(large) >= len(small)
+
+    @given(st.data())
+    def test_narrower_decode_is_prefix_of_wider(self, data):
+        # the assembler answers a decode at radius r from one at R >= r of the
+        # same y and sets; y lies near a point of the sets, so most decodes
+        # are nonempty
+        n = data.draw(st.integers(1, 4), label="N")
+        m = n + data.draw(st.integers(0, 2), label="M - N")
+        value_sets = [
+            sorted(data.draw(st.sets(st.integers(-4, 4), min_size=1, max_size=5)))
+            for _ in range(n)
+        ]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        G = rng.standard_normal((m, n))
+        try:
+            lattice = PreparedLattice.from_matrix(G)
+        except np.linalg.LinAlgError:
+            assume(False)
+        x0 = np.array([rng.choice(vals) for vals in value_sets], dtype=float)
+        sigma = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="sigma")
+        y = G @ x0 + sigma * rng.standard_normal(m)
+        R = data.draw(st.floats(0.05, 4.0), label="R")
+        sets = CandidateSets(tuple(Alphabet(tuple(vals)) for vals in value_sets))
+        wide = sphere_decode(y, lattice, R, sets)
+        if wide and data.draw(st.booleans(), label="r on a point"):
+            # r^2 may round below the point's dist2; the slack keeps it
+            r = math.sqrt(data.draw(st.sampled_from(wide), label="point").dist2)
+            assume(0.0 < r <= R)
+        else:
+            r = R * data.draw(st.floats(1e-3, 1.0), label="r / R")
+        include = r * r * (1.0 + BOUNDARY_SLACK)
+        narrow = sphere_decode(y, lattice, r, sets)
+        assert narrow == [c for c in wide if c.dist2 <= include]
+        assert _cut_decode(wide, r) == narrow
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(51)
