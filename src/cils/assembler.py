@@ -11,9 +11,17 @@ row's choices so far form one contiguous range of the sorted F, so a search
 node is one (lo, hi) index pair per output row.  For each column the search
 reads the per-row candidate values off those ranges, sphere-decodes that
 column of Y against G, and recurses on each returned column vector after
-narrowing the ranges.  Leaves are rank-checked exactly.  G is QR-factored
-once per instance (ProblemInstance.lattice) and every decode reuses the
-factors.
+narrowing the ranges.  Each range is bisected into its per-value sub-ranges
+once per solve, the first time the search reaches it, and both steps read
+that split back (RowTreeBundle.splits).  G is QR-factored once per instance
+(ProblemInstance.lattice) and every decode reuses the factors.
+
+Rank: a row is settled once its range holds a single row, and it keeps that
+row in every leaf below.  A branch is cut as soon as a settled row is zero
+or two settled rows lie on one line through 0 (equal primitive forms, see
+_line), which covers duplicated rows too; no leaf below it has rank N.
+Dependence among three or more settled rows is not tested there, so leaves
+are still rank-checked exactly.
 
 Branch and bound: every column of every feasible X lies in V_k^N, where V_k
 is the set of values the feasible rows take at coordinate k, so no X fits
@@ -48,7 +56,7 @@ import math
 import operator
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +83,9 @@ CAP_GROWTH = 2.0
 # (column, per-row candidate values) -> (radius, candidates) of the widest
 # decode of that column and candidate sets made so far in one solve
 DecodeMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[float, list[SphereCandidate]]]
+
+# a range's column-j values and the sub-range each one leaves: its splits entry
+Split = tuple[Alphabet, dict[int, tuple[int, int]]]
 
 _dist2 = operator.attrgetter("dist2")
 
@@ -195,8 +206,9 @@ class SolveStats:
 
     `radius_expansions` counts the doublings of the objective cap after
     passes that found no leaf; `backtracks` counts empty candidate lists,
-    whether decoded or reused, plus rank-rejected leaves, and `rank_rejects`
-    the rank-rejected leaves alone;
+    whether decoded or reused, plus rank prunes, and `rank_rejects` the rank
+    prunes alone, at leaves (exact rank below N) and at inner nodes (a
+    settled row zero or two on one line);
     `bound_prunes` counts column subtrees the bound cut before decoding them:
     a candidate dropped because acc + dist2 + LB(j+1) reached the best
     objective (or the cap), or a column whose remaining budget was already
@@ -234,11 +246,26 @@ class RowTreeBundle:
     rows that agree with output row i on them form one contiguous range
     feasible[lo:hi], with (lo, hi) = spans[i]; a row is settled when its
     range holds a single row.
+
+    Three per-solve caches are shared the same way by every bundle derived
+    from one `initial`, and each entry is filled on first use: `splits` maps
+    (j, lo, hi) to the column-j Alphabet of feasible[lo:hi] and a
+    {value: (lo, hi)} table of its sub-ranges, so each range is bisected once
+    per solve however often the search reaches it; `alphabets` interns those
+    Alphabets by their values; `lines` maps a settled row's index to its line
+    key (see _line).
     """
 
     feasible: tuple[IntVector, ...]
     spans: tuple[tuple[int, int], ...]
     depth: int = 0
+    splits: dict[tuple[int, int, int], Split] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    alphabets: dict[tuple[int, ...], Alphabet] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    lines: dict[int, IntVector] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def initial(cls, feasible: list[IntVector], n_rows: int) -> "RowTreeBundle":
@@ -254,38 +281,51 @@ class RowTreeBundle:
         return len(self.spans)
 
 
-def _next_column(bundle: RowTreeBundle, j: int) -> operator.itemgetter:
-    """Sort key of column j; raises ValueError unless j is the next column to fix."""
+def _check_column(bundle: RowTreeBundle, j: int) -> None:
+    """Raise ValueError unless j is the next column to fix."""
     if j != bundle.depth or j >= len(bundle.feasible[0]):
         raise ValueError(
             f"column {j} is not the next column to fix: columns are fixed left to "
             f"right, {bundle.depth} of {len(bundle.feasible[0])} so far"
         )
-    return operator.itemgetter(j)
+
+
+def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> Split:
+    """Make and store the splits entry of key (j, lo, hi): range (lo, hi) at column j.
+
+    The rows of a range agree on columns 0..j-1, so their j-th entries are
+    sorted and each distinct value's sub-range is one bisect away from the
+    last.
+    """
+    j, lo, hi = key
+    rows = bundle.feasible
+    column = operator.itemgetter(j)
+    table = {}
+    while lo < hi:
+        v = rows[lo][j]
+        end = bisect_right(rows, v, lo, hi, key=column)
+        table[v] = (lo, end)
+        lo = end
+    values = tuple(table)
+    alphabet = bundle.alphabets.get(values)
+    if alphabet is None:
+        alphabet = bundle.alphabets[values] = Alphabet(values)
+    bundle.splits[key] = entry = (alphabet, table)
+    return entry
 
 
 def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
     """Candidate values of column j per row: the j-th entries of its range.
 
-    The rows of a range agree on columns 0..j-1, so their j-th entries are
-    sorted and each distinct value is one bisect away from the last.  Rows
-    with the same values share one Alphabet.
+    Read off the bundle's per-solve splits; rows with the same values share
+    one Alphabet.
     """
-    key = _next_column(bundle, j)
-    rows = bundle.feasible
+    _check_column(bundle, j)
+    splits = bundle.splits
     sets = []
-    made: dict[tuple[int, ...], Alphabet] = {}
     for lo, hi in bundle.spans:
-        vals = []
-        while lo < hi:
-            v = rows[lo][j]
-            vals.append(v)
-            lo = bisect_right(rows, v, lo, hi, key=key)
-        vals = tuple(vals)
-        alphabet = made.get(vals)
-        if alphabet is None:
-            alphabet = made[vals] = Alphabet(vals)
-        sets.append(alphabet)
+        key = (j, lo, hi)
+        sets.append((splits.get(key) or _split(bundle, key))[0])
     return CandidateSets(tuple(sets))
 
 
@@ -295,20 +335,57 @@ def prune_with_column(bundle: RowTreeBundle, j: int, x_col: IntVector) -> RowTre
     Raises ValueError if a value leaves a row no feasible row, settled or
     not; the decoder only proposes values drawn from the ranges.
     """
-    key = _next_column(bundle, j)
+    _check_column(bundle, j)
     if len(x_col) != bundle.n_rows:
         raise ValueError(f"column has {len(x_col)} entries for {bundle.n_rows} rows")
-    rows = bundle.feasible
+    splits = bundle.splits
     spans = []
     for i, ((lo, hi), v) in enumerate(zip(bundle.spans, x_col)):
-        lo = bisect_left(rows, v, lo, hi, key=key)
-        hi = bisect_right(rows, v, lo, hi, key=key)
-        if lo == hi:
+        key = (j, lo, hi)
+        span = (splits.get(key) or _split(bundle, key))[1].get(v)
+        if span is None:
             raise ValueError(
                 f"value {v} at column {j} eliminates every candidate for row {i}"
             )
-        spans.append((lo, hi))
-    return RowTreeBundle(rows, tuple(spans), j + 1)
+        spans.append(span)
+    return RowTreeBundle(
+        bundle.feasible, tuple(spans), j + 1, splits, bundle.alphabets, bundle.lines
+    )
+
+
+def _line(row: IntVector) -> IntVector:
+    """Line key of a row: the primitive vector on its line through 0.
+
+    The row divided by the gcd of its entries, with the sign that makes the
+    first nonzero entry positive, so two rows share a key exactly when one is
+    a rational multiple of the other; the zero row's key is ().
+    """
+    g = math.gcd(*row)
+    if g == 0:
+        return ()
+    if next(filter(None, row)) < 0:
+        g = -g
+    return tuple(v // g for v in row)
+
+
+def _settled_rows_dependent(bundle: RowTreeBundle) -> bool:
+    """True when a settled row is zero or two settled rows share a line.
+
+    Every completion of the bundle keeps its settled rows, so then no leaf
+    below it reaches rank N.  A settled row's line key is computed once per
+    solve, when the search first settles it.
+    """
+    lines = bundle.lines
+    seen = set()
+    for lo, hi in bundle.spans:
+        if hi - lo == 1:
+            line = lines.get(lo)
+            if line is None:
+                line = lines[lo] = _line(bundle.feasible[lo])
+            if not line or line in seen:
+                return True
+            seen.add(line)
+    return False
 
 
 def objective(Y, G, X: IntMatrix) -> float:
@@ -391,7 +468,9 @@ def _search(
     discards only leaves costing at least the best objective, and a returned
     leaf is the minimum over all leaves below the cap.  `memo` holds the
     widest decode per (column, candidate sets) made so far in the solve; a
-    decode no wider is cut from it (see the module docstring).
+    decode no wider is cut from it (see the module docstring).  A child whose
+    settled rows are dependent is dropped before recursing, and so is a leaf
+    of rank below N: neither can hold the optimum.
     """
     Y, G, lattice = instance.Y, instance.G, instance.lattice
     feasible = bundle0.feasible
@@ -436,7 +515,12 @@ def _search(
             if acc + cand.dist2 + rest >= best_obj:
                 stats.bound_prunes += len(candidates) - k
                 break
-            recurse(j + 1, prune_with_column(bundle, j, cand.x), acc + cand.dist2)
+            child = prune_with_column(bundle, j, cand.x)
+            if _settled_rows_dependent(child):
+                stats.backtracks += 1
+                stats.rank_rejects += 1
+                continue
+            recurse(j + 1, child, acc + cand.dist2)
 
     recurse(0, bundle0, 0.0)
     if best_X is None:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cils.assembler
 from cils import (
     Alphabet,
     InfeasibleError,
@@ -22,7 +23,9 @@ from cils import (
     derive_column_sets,
     generate_instance,
     GenSpec,
+    int_rank,
     objective,
+    oracle_F,
     oracle_solve,
     prune_with_column,
     solve,
@@ -32,12 +35,14 @@ from cils import (
     tree_leaves,
     verify_solution,
 )
-from cils.assembler import _suffix_bound
+from cils.assembler import _line, _settled_rows_dependent, _suffix_bound
 from cils.harness import load_specs, trial_seeds
 from conftest import FEASIBLE_7, X_A_ROWS
 
 S3 = Alphabet((-1, 0, 1))
-HARD_TIER = Path(__file__).resolve().parents[1] / "scripts" / "hard_tier.json"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+HARD_TIER = SCRIPTS / "hard_tier.json"
+STRETCH_TIER = SCRIPTS / "stretch_tier.json"
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +214,48 @@ class TestRowRanges:
             assert survivors(bundle) == [tuple(sorted(r)) for r in reference]
         assert all(hi - lo == 1 for lo, hi in bundle.spans)
 
+    @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
+    def test_sibling_branches_read_cached_splits(self, rows, n_rows, data):
+        # each range is split once per solve; a sibling branch, and a second
+        # walk down the same branch, read those splits back from the cache
+        root = RowTreeBundle.initial(rows, n_rows)
+        for _ in range(2):
+            bundle = root
+            reference = [tuple(rows)] * n_rows
+            for j in range(len(rows[0])):
+                expected = filter_sets(reference, j)
+                assert [a.values for a in derive_column_sets(bundle, j).sets] == expected
+                cols = [tuple(data.draw(st.sampled_from(vals)) for vals in expected)
+                        for _ in range(2)]
+                for x_col in cols:
+                    child = prune_with_column(bundle, j, x_col)
+                    assert child.splits is root.splits
+                    assert survivors(child) == [
+                        tuple(sorted(r)) for r in filter_prune(reference, j, x_col)
+                    ]
+                bundle = child
+                reference = filter_prune(reference, j, cols[-1])
+        # equal value tuples share one Alphabet across ranges and columns
+        for alphabet, _ in root.splits.values():
+            assert root.alphabets[alphabet.values] is alphabet
+
+    def test_cached_split_errors_unchanged(self, ex_feasible):
+        root = RowTreeBundle.initial(ex_feasible, 3)
+        bundle = prune_with_column(root, 0, (1, 0, 0))
+        derive_column_sets(bundle, 1)
+        prune_with_column(bundle, 1, (1, -1, 1))
+        # the splits of column 1 are cached now, yet the root still refuses it
+        with pytest.raises(ValueError, match="column 1 is not the next column"):
+            derive_column_sets(root, 1)
+        with pytest.raises(ValueError, match="column 1 is not the next column"):
+            prune_with_column(root, 1, (0, 0, 0))
+        # a value absent from a cached range empties the row, settled or not
+        empties = "value {} at column 1 eliminates every candidate for row {}"
+        with pytest.raises(ValueError, match=empties.format(0, 0)):
+            prune_with_column(bundle, 1, (0, 0, 1))
+        with pytest.raises(ValueError, match=empties.format(7, 2)):
+            prune_with_column(bundle, 1, (1, -1, 7))
+
     def test_columns_are_fixed_left_to_right(self, ex_feasible):
         bundle = RowTreeBundle.initial(ex_feasible, 3)
         with pytest.raises(ValueError, match="column 1"):
@@ -225,6 +272,133 @@ class TestRowRanges:
         assert bundle.depth == 7
         with pytest.raises(ValueError, match="column 7"):
             derive_column_sets(bundle, 7)
+
+
+def settle(feasible, rows, depth=None):
+    """The bundle whose output rows have taken the entries of `rows` on columns 0..depth-1."""
+    bundle = RowTreeBundle.initial(feasible, len(rows))
+    for j in range(len(rows[0]) if depth is None else depth):
+        bundle = prune_with_column(bundle, j, tuple(r[j] for r in rows))
+    return bundle
+
+
+class TestSettledLineTest:
+    """The line test that cuts a subtree once its settled rows are dependent."""
+
+    S5_ROWS = [(a, b, -a - b) for a in range(-2, 3) for b in range(-2, 3) if abs(a + b) <= 2]
+
+    def test_line_keys(self):
+        assert _line((0, 0, 0)) == ()
+        assert _line((2, -4, 0)) == _line((-1, 2, 0)) == (1, -2, 0)
+        assert _line((0, -3, 6)) == (0, 1, -2)
+
+    @pytest.mark.parametrize(
+        "rows, dependent",
+        [
+            (((0, 0, 0), (1, 0, -1)), True),  # a zero row
+            (((1, 0, -1), (1, 0, -1)), True),  # equal rows
+            (((1, -1, 0), (-1, 1, 0)), True),  # x with -x
+            (((1, 0, -1), (2, 0, -2)), True),  # x with 2x
+            (((1, 0, -1), (0, 1, -1)), False),  # two independent rows
+            (((1, 0, -1), (0, 1, -1), (1, 1, -2)), False),  # pairwise independent: leaf check
+        ],
+        ids=["zero", "equal", "negated", "doubled", "independent", "three-dependent"],
+    )
+    def test_settled_rows(self, rows, dependent):
+        assert _settled_rows_dependent(settle(self.S5_ROWS, rows)) is dependent
+
+    def test_only_settled_rows_count(self):
+        feasible = [(1, 0, -1), (2, 0, -2), (0, 1, -1), (0, -1, 1)]
+        # column 0 alone settles rows 0 and 1 on x and 2x
+        assert _settled_rows_dependent(settle(feasible, ((1, 0, -1), (2, 0, -2), (0, 1, -1)), 1))
+        # rows 1 and 2 are headed for y and -y, but neither is settled yet
+        rows = ((1, 0, -1), (0, 1, -1), (0, -1, 1))
+        bundle = settle(feasible, rows, 1)
+        assert [hi - lo for lo, hi in bundle.spans] == [1, 2, 2]
+        assert not _settled_rows_dependent(bundle)
+        assert _settled_rows_dependent(settle(feasible, rows, 2))
+
+    def test_rank_dead_subtrees_cut_before_the_leaves(self, monkeypatch):
+        # sigma = 0.8 noise on S5 rows: branches that settle two rows on one
+        # line are cut before any leaf below them is rank-checked; each cut
+        # counts as a rank reject and a backtrack, and the answer is still
+        # the oracle's
+        spec = GenSpec(n_rows=2, n_cols=5, n_meas=3, alphabet=Alphabet((-2, -1, 0, 1, 2)),
+                       n_constraints=2, sigma=0.8, seed=2)
+        inst, _ = generate_instance(spec)
+        ranks = []
+
+        def recorded_rank(X):
+            ranks.append(int_rank(X))
+            return ranks[-1]
+
+        monkeypatch.setattr(cils.assembler, "int_rank", recorded_rank)
+        res = solve(inst)
+        # the first rank is the feasible set's and the last the solution's
+        leaf_rejects = sum(r != inst.target_rank for r in ranks[1:-1])
+        assert res.stats.rank_rejects > leaf_rejects
+        assert res.stats.backtracks >= res.stats.rank_rejects
+        ref = oracle_solve(inst)
+        verify_solution(inst, res.X)
+        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+
+
+DEGENERATE_ALPHABETS = (
+    (-1, 0, 1),  # symmetric: x and -x both feasible
+    (-2, -1, 0, 1, 2),  # x and 2x both feasible
+    (-1, 1),  # no 0
+    (-2, -1, 1, 2),  # no 0, x and 2x
+    (1, 2),  # no 0, no sign symmetry
+)
+
+# stacks the oracle scans per example at most
+ORACLE_STACKS = 5_000
+
+
+@st.composite
+def degenerate_instances(draw):
+    """Small instances on which settled rows are often zero or share a line.
+
+    A gets a zero row half the time, K runs over 0..L (so K = 1 and the
+    infeasible K = 0) where the alphabet holds 0 and is L otherwise, and Y is
+    all zero half the time, which makes X and -X tie exactly whenever both
+    are feasible.
+    """
+    values = draw(st.sampled_from(DEGENERATE_ALPHABETS))
+    n_cols = draw(st.integers(3, 5))
+    a_rows = [draw(st.tuples(*[st.integers(-2, 2)] * n_cols))]
+    if draw(st.booleans()):
+        a_rows.append((0,) * n_cols)
+    A = IntMatrix(tuple(a_rows))
+    alphabet = Alphabet(values)
+    sparsity = draw(st.integers(0, n_cols)) if 0 in values else n_cols
+    n_feasible = len(oracle_F(A, alphabet, sparsity))
+    most = max(n for n in range(1, n_cols + 1) if n == 1 or n_feasible**n <= ORACLE_STACKS)
+    # as many rows as the oracle affords, so settled rows can share a line
+    n_rows = min(3, most) - draw(st.integers(0, min(3, most) - 1))
+    n_meas = n_rows + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n_meas, n_rows))
+    if draw(st.booleans()):
+        Y = np.zeros((n_meas, n_cols))
+    else:
+        Y = 2.0 * rng.standard_normal((n_meas, n_cols))
+    return ProblemInstance(Y=Y, G=G, A=A, alphabet=alphabet, sparsity=sparsity, target_rank=n_rows)
+
+
+@given(inst=degenerate_instances())
+@settings(max_examples=60)
+def test_degenerate_inputs_match_oracle(inst):
+    try:
+        ref = oracle_solve(inst)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as got:
+            solve(inst)
+        assert got.value.feasible_rank == exc.feasible_rank
+        return
+    res = solve(inst)
+    verify_solution(inst, res.X)
+    assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
 
 
 class TestSolve:
@@ -326,10 +500,12 @@ class TestSolve:
 
     def test_hard_tier_objectives_and_decode_budget(self):
         # the 12 hard-tier instances (three shapes, four trial seeds each):
-        # objectives pinned, total decodes under a ceiling (1,881 measured
-        # with decodes reused within a solve, 14,185 without, 189,505 with
-        # the outside-span bound in place of the column floors); every
-        # column decode the search asks for is decoded or reused
+        # objectives pinned, total decodes under a ceiling (1,620 measured
+        # with decodes reused within a solve and subtrees cut as soon as two
+        # settled rows share a line, 1,881 with that cut made at the leaves
+        # alone); every column decode the search asks for is decoded or
+        # reused, 10,970 of them (14,185 with the cut at the leaves alone,
+        # 189,505 with the outside-span bound in place of the column floors)
         objectives = [
             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
@@ -343,8 +519,22 @@ class TestSolve:
                 assert res.objective == pytest.approx(want, rel=1e-9)
                 calls += res.stats.sphere_calls
                 asked += res.stats.sphere_calls + res.stats.decode_reuses
-        assert calls <= 2_500
-        assert asked == 14_185
+        assert calls <= 2_100
+        assert asked == 10_970
+
+    def test_stretch_tier_objectives_and_decodes_asked(self):
+        # the 4 stretch-tier instances: objectives pinned, and the column
+        # decodes the search asks for, decoded or reused (126,318 with
+        # rank-dead subtrees cut at the leaves alone)
+        objectives = [38.400958083654245, 31.452660276391825, 30.201242185320734, 28.95642576897489]
+        (spec,) = load_specs(STRETCH_TIER)
+        asked = 0
+        for trial_seed, want in zip(trial_seeds(spec), objectives, strict=True):
+            inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
+            res = solve(inst)
+            assert res.objective == pytest.approx(want, rel=1e-9)
+            asked += res.stats.sphere_calls + res.stats.decode_reuses
+        assert asked == 93_681
 
     def test_decodes_reused_across_cap_doublings(self):
         # the default first cap is doubled three times here, and the passes
