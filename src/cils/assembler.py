@@ -35,9 +35,10 @@ sqrt(best - acc - LB(j+1)) given the cost `acc` of the columns fixed so far,
 and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.  Every
 prune discards only leaves costing at least the best objective, so a pass
 that finds a leaf returns the global optimum, and a pass that finds none
-proves the optimum is at least the cap.  The first cap is L d^2 for an
-initial per-column radius d, clamped into the positive finite floats; it
-doubles after each pass that finds nothing.
+proves the optimum is at least the cap.  The first cap is L d^2, with d the
+Babai radius of column 0 (spheredec.babai_radius: the residual of the
+column's least-squares point snapped into its candidate sets), clamped below
+the largest finite float; it doubles after each pass that finds nothing.
 
 Decode reuse: column j of Y is fixed per instance, so j and the per-row
 candidate sets determine a column decode up to its radius, and sibling
@@ -107,11 +108,7 @@ class ProblemInstance:
     nonzeros, and X must have rank `target_rank` (= N).  G must have full
     column rank, so M >= N, and every alphabet value must convert to a float
     for the decoder, at a scale where ||Y - G X||^2 stays a finite float.
-    `radius` optionally fixes the initial per-column
-    radius d, which sets the first objective cap L d^2 of the search; it must
-    be positive and finite, and when None a rounding-based radius is derived
-    per solve.  The QR-factored G that every decode reuses is built once, as
-    `lattice`.
+    The QR-factored G that every decode reuses is built once, as `lattice`.
     """
 
     Y: np.ndarray
@@ -120,7 +117,6 @@ class ProblemInstance:
     alphabet: Alphabet
     sparsity: int
     target_rank: int
-    radius: float | None = None
     lattice: PreparedLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -178,14 +174,10 @@ class ProblemInstance:
                 f"alphabet values up to {s_max:.3g} in magnitude, against this Y and G, "
                 "overflow the squared residual ||Y - G X||^2 in floats"
             )
-        if self.radius is not None and not 0.0 < float(self.radius) < math.inf:
-            raise ValueError("radius, when given, must be positive and finite")
         Y.setflags(write=False)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "G", lattice.G)
         object.__setattr__(self, "lattice", lattice)
-        if self.radius is not None:
-            object.__setattr__(self, "radius", float(self.radius))
 
     @property
     def n_rows(self) -> int:
@@ -548,15 +540,11 @@ def solve(instance: ProblemInstance) -> SolveResult:
             feasible_rank=span_rank,
         )
     bundle0 = RowTreeBundle.initial(feasible, instance.n_rows)
-    if instance.radius is not None:
-        d = instance.radius
-    else:
-        # default radius comes from rounding the first column's LS solution
-        d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
+    d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
     lb = _suffix_bound(instance, F)
-    # clamp the first cap into the positive finite floats: L d^2 underflows
-    # to 0 for d below about 1e-162 and overflows to inf above about 1e154
-    cap = min(max(instance.n_cols * d * d, sys.float_info.min), sys.float_info.max)
+    # d is at least 1e-9, but its slack can carry L d^2 past the largest float
+    # when ||Y - G X||^2 sits at the float limit
+    cap = min(instance.n_cols * d * d, sys.float_info.max)
     memo: DecodeMemo = {}
     best = _search(instance, bundle0, cap, lb, memo, stats)
     while best is None:

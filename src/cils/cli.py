@@ -1,9 +1,8 @@
 """Command-line front end: solve, check, gen, bench.
 
 Instance files are JSON documents with keys Y (M x L reals), G (M x N reals),
-A (P x L integers), S (alphabet values), K (sparsity budget), N (target
-rank) and optionally d0 (initial per-column radius d, which sets the first
-objective cap L d^2).  Exit codes: 0 success, 1 input error, 2 infeasible,
+A (P x L integers), S (alphabet values), K (sparsity budget) and N (target
+rank), and no other key.  Exit codes: 0 success, 1 input error, 2 infeasible,
 3 oracle budget refusal, 4 oracle cross-check mismatch.
 The environment variable CILS_ORACLE_BUDGET overrides the oracle's
 enumeration cap.  Bench spec files are read by cils.harness.load_specs, and
@@ -22,7 +21,15 @@ import numpy as np
 
 from .assembler import InfeasibleError, ProblemInstance, SolveResult, solve
 from .dioph import Alphabet
-from .harness import GenSpec, GenerationError, generate_instance, load_specs, run_bench
+from .harness import (
+    GenSpec,
+    GenerationError,
+    _alphabet,
+    _integer,
+    generate_instance,
+    load_specs,
+    run_bench,
+)
 from .intlin import IntMatrix
 from .oracle import BudgetExceededError, OracleBudget, oracle_solve
 
@@ -69,43 +76,25 @@ def load_instance(path) -> ProblemInstance:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ValueError(f"{path}: missing required keys {missing}")
+    for key in doc:
+        if key not in _REQUIRED_KEYS:
+            raise _fail(path, key, "unknown key")
     Y = _real_matrix(path, "Y", doc["Y"])
     G = _real_matrix(path, "G", doc["G"])
     A = _int_matrix(path, "A", doc["A"])
-    if not isinstance(doc["S"], list) or any(isinstance(v, bool) for v in doc["S"]):
-        raise _fail(path, "S", "expected a list of integers")
-    try:
-        alphabet = Alphabet(tuple(doc["S"]))
-    except (TypeError, ValueError) as e:
-        raise _fail(path, "S", str(e)) from e
-    if not isinstance(doc["K"], int) or isinstance(doc["K"], bool):
-        raise _fail(path, "K", "expected an integer")
-    if not isinstance(doc["N"], int) or isinstance(doc["N"], bool):
-        raise _fail(path, "N", "expected an integer")
-    radius = None
-    if "d0" in doc and doc["d0"] is not None:
-        if not isinstance(doc["d0"], (int, float)) or isinstance(doc["d0"], bool):
-            raise _fail(path, "d0", "expected a number")
-        try:
-            radius = float(doc["d0"])
-        except OverflowError as e:
-            raise _fail(path, "d0", str(e)) from e
+    alphabet = _alphabet(doc["S"], f"{path}: key 'S'")
+    sparsity = _integer(doc["K"], f"{path}: key 'K'")
+    target_rank = _integer(doc["N"], f"{path}: key 'N'")
     try:
         return ProblemInstance(
-            Y=Y,
-            G=G,
-            A=A,
-            alphabet=alphabet,
-            sparsity=doc["K"],
-            target_rank=doc["N"],
-            radius=radius,
+            Y=Y, G=G, A=A, alphabet=alphabet, sparsity=sparsity, target_rank=target_rank
         )
     except ValueError as e:
         raise ValueError(f"{path}: invalid instance: {e}") from e
 
 
 def _instance_document(instance: ProblemInstance) -> dict:
-    doc = {
+    return {
         "Y": [[float(v) for v in row] for row in instance.Y],
         "G": [[float(v) for v in row] for row in instance.G],
         "A": [list(row) for row in instance.A.entries],
@@ -113,9 +102,6 @@ def _instance_document(instance: ProblemInstance) -> dict:
         "K": instance.sparsity,
         "N": instance.target_rank,
     }
-    if instance.radius is not None:
-        doc["d0"] = instance.radius
-    return doc
 
 
 def _write_json(path, doc) -> None:
@@ -155,10 +141,7 @@ def _print_result(result: SolveResult, show_stats: bool, as_json: bool) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance = load_instance(args.instance)
-    if args.radius is not None:
-        instance = dataclasses.replace(instance, radius=args.radius)
-    result = solve(instance)
+    result = solve(load_instance(args.instance))
     _print_result(result, args.stats, args.json)
     return EXIT_OK
 
@@ -225,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", help="path to an instance JSON file")
-    p_solve.add_argument("--radius", type=float, default=None, help="initial per-column radius d (first objective cap L*d^2)")
     p_solve.add_argument("--stats", action="store_true", help="print solver statistics")
     p_solve.add_argument("--json", action="store_true", help="emit the result as JSON")
     p_solve.set_defaults(func=cmd_solve)

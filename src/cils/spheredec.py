@@ -8,8 +8,10 @@ decodes many vectors against one G (the assembler decodes every column of Y,
 each at the radius its remaining budget allows) passes the prepared lattice,
 and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
 inside when its squared distance is at most d^2 * (1 + 1e-9); internal
-pruning uses twice that slack so no boundary point is lost to accumulation
-error, and reported distances are recomputed directly from y and G.
+pruning runs at radius d * (1 + 1e-9) + tau, with tau proportional to
+eps * ||y|| (see ROUNDING_SLACK), so no boundary point is lost to accumulation
+error at any scale of y, and reported distances are recomputed directly from
+y and G.
 
 column_floors runs the same enumeration breadth first over every column of
 Y at once and keeps only each column's minimum distance; the assembler sums
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +32,13 @@ from .dioph import Alphabet, IntVector
 
 # relative slack on the squared radius for the inclusion test
 BOUNDARY_SLACK = 1e-9
+
+# Q^T y and the partial sums carry rounding of order eps * ||y|| per entry,
+# however small the radius, so a point at distance d may be summed to
+# anything up to (d + tau)^2 with tau = ROUNDING_SLACK * (m + n) * ||y|| for
+# an m x n G; a slack relative to d^2 alone loses boundary points once ||y||
+# is large against d
+ROUNDING_SLACK = 16.0 * sys.float_info.epsilon
 
 
 class SphereCandidate(NamedTuple):
@@ -151,7 +161,10 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
     # squared distance from y to the column span; fixed for every candidate
     base = float(w @ w)
     include = radius * radius * (1.0 + BOUNDARY_SLACK)
-    prune = radius * radius * (1.0 + 2.0 * BOUNDARY_SLACK)
+    # ||y|| from its parts in and outside G's span, without another numpy call
+    tau = ROUNDING_SLACK * (m + n) * math.hypot(math.sqrt(base), *z)
+    reach = radius * (1.0 + BOUNDARY_SLACK) + tau
+    prune = reach * reach
     out: list[SphereCandidate] = []
     if base > prune:
         return out
@@ -230,9 +243,12 @@ def column_floors(lattice: PreparedLattice, Y, values, allowed) -> np.ndarray:
     gap[:, ~allowed] = np.inf
     r = Y - Gm @ vals[np.argmin(gap, axis=2)]
     floors = np.einsum("ij,ij->j", r, r)
-    # a value passes where its cost is within the column's pruning radius;
-    # costs are never negative, so -1 shuts out the values V_k lacks
-    limit = np.where(allowed, floors[:, None] * (1.0 + 2.0 * BOUNDARY_SLACK), -1.0)
+    # a value passes where its cost is within the column's pruning radius,
+    # with sphere_decode's slack; costs are never negative, so -1 shuts out
+    # the values V_k lacks
+    tau = ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    prune = (np.sqrt(floors) * (1.0 + BOUNDARY_SLACK) + tau) ** 2
+    limit = np.where(allowed, prune[:, None], -1.0)
     col = np.arange(n_cols)
     acc = lattice.outside_span(Y)
     x = np.zeros((n_cols, n))
@@ -253,11 +269,12 @@ def babai_radius(y, G, sets: CandidateSets) -> float:
     G is a matrix or a PreparedLattice, as for sphere_decode.  The real
     solution of R x = Q1^T y is found by back substitution, and each of its
     coordinates is snapped to the nearest value in its candidate set (ties
-    to the smaller value); the returned radius is the residual of that point
-    plus a small slack, so a sphere decode at this radius always sees at
-    least one candidate.  A raw G is prepared by PreparedLattice.from_matrix,
-    so a wide G raises ValueError and a rank-deficient one
-    numpy.linalg.LinAlgError.
+    to the smaller value); the returned radius is the residual r0 of that
+    point plus 1e-9 (1 + r0), so it is at least 1e-9, and a sphere decode at
+    this radius always sees at least that point, at any scale of y and G,
+    since the decoder's pruning slack grows with ||y||.  A raw G is prepared
+    by PreparedLattice.from_matrix, so a wide G raises ValueError and a
+    rank-deficient one numpy.linalg.LinAlgError.
     """
     lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
     m, n = lat.G.shape

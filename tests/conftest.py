@@ -2,7 +2,7 @@
 
 The fixture instance is the one whose feasible set has exactly 7 members
 (the zero vector, three planted rows and their negations) and whose solve
-at radius 0.5 must return the planted matrix exactly.
+must return the planted matrix exactly.
 """
 
 import pathlib
@@ -105,7 +105,7 @@ def s3() -> Alphabet:
 @pytest.fixture(scope="session")
 def ex_instance(ex_Y, ex_G, ex_A, s3) -> ProblemInstance:
     return ProblemInstance(
-        Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3, radius=0.5
+        Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3
     )
 
 

@@ -4,6 +4,8 @@ special case.
 """
 
 import dataclasses
+import math
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -16,10 +18,12 @@ from hypothesis import strategies as st
 import cils.assembler
 from cils import (
     Alphabet,
+    CandidateSets,
     InfeasibleError,
     IntMatrix,
     ProblemInstance,
     RowTreeBundle,
+    babai_radius,
     derive_column_sets,
     generate_instance,
     GenSpec,
@@ -93,11 +97,47 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match="rank deficient"):
             ProblemInstance(Y=ex_Y, G=G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan")])
-    def test_radius_must_be_positive_and_finite(self, ex_Y, ex_G, ex_A, s3, radius):
-        with pytest.raises(ValueError, match="positive and finite"):
+    def test_near_duplicate_g_columns(self):
+        # G's third column is its second plus delta * u.  Just above
+        # qr_positive's pivot tolerance the solve still equals the oracle; at
+        # or below it construction refuses G
+        spec = GenSpec(n_rows=3, n_cols=6, n_meas=4, alphabet=Alphabet((-2, -1, 0, 1, 2)),
+                       n_constraints=3, sparsity=3, sigma=0.0, seed=1)
+        inst0, planted = generate_instance(spec)
+        u = np.array([1.0, -1.0, 0.5, 2.0])
+
+        def near_duplicate(delta):
+            G = inst0.G.copy()
+            G[:, 2] = G[:, 1] + delta * u
+            size = np.abs(np.diag(np.linalg.qr(G, mode="complete")[1]))
+            tol = 4 * np.finfo(float).eps * max(float(size.max()), 1.0)
+            return G, float(size[-1]) / tol
+
+        def instance(G, Y):
+            return ProblemInstance(Y=Y, G=G, A=inst0.A, alphabet=inst0.alphabet,
+                                   sparsity=3, target_rank=3)
+
+        G, over = near_duplicate(2e-15)
+        assert 1.0 < over < 2.0
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            Y = G @ np.array(planted.entries, dtype=float) + 0.3 * rng.standard_normal((4, 6))
+            inst = instance(G, Y)
+            res, ref = solve(inst), oracle_solve(inst)
+            assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+            verify_solution(inst, res.X)
+        for delta in (1.5e-15, 0.0):
+            G, over = near_duplicate(delta)
+            assert over <= 1.0
+            with pytest.raises(ValueError, match="rank deficient"):
+                instance(G, inst0.Y)
+
+    def test_radius_is_not_a_field(self, ex_Y, ex_G, ex_A, s3):
+        # the first objective cap is always derived from column 0 of Y
+        assert "radius" not in {f.name for f in dataclasses.fields(ProblemInstance)}
+        with pytest.raises(TypeError):
             ProblemInstance(
-                Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3, radius=radius
+                Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3, radius=0.5
             )
 
     def test_arrays_are_locked(self, ex_instance):
@@ -410,14 +450,13 @@ class TestSolve:
         assert res.objective <= 1e-18
         assert elapsed < 1.0
         assert res.stats.dioph_nodes > 0
-        assert res.stats.sphere_calls >= ex_instance.n_cols
+        # the first cap, from column 0's radius, holds the optimum: one
+        # decode per column and no doubling
+        assert res.stats.radius_expansions == 0
+        assert res.stats.sphere_calls == ex_instance.n_cols
 
     def test_result_passes_verification(self, ex_instance):
         verify_solution(ex_instance, solve(ex_instance).X)
-
-    def test_default_radius_used_when_unset(self, ex_instance, ex_X):
-        inst = dataclasses.replace(ex_instance, radius=None)
-        assert solve(inst).X == ex_X
 
     def test_noiseless_recovery_is_exact(self):
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
@@ -471,21 +510,38 @@ class TestSolve:
             solve(inst)
         assert exc_info.value.feasible_rank == 1
 
-    @pytest.mark.parametrize("radius", [1e-200, 1e-9, 1e3, 1e200])
-    def test_forced_small_radius_escalates(self, radius):
-        # a tiny radius doubles the objective cap until a leaf exists, from a
-        # cap clamped to the smallest normal float when L d^2 underflows; a
-        # huge one starts from a cap clamped to the largest float
-        spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.2, seed=0)
-        inst, _ = generate_instance(spec)
-        res = solve(dataclasses.replace(inst, radius=radius))
-        if radius < 1.0:
-            assert res.stats.radius_expansions >= 1
-        else:
-            assert res.stats.radius_expansions == 0
-        ref = oracle_solve(inst)
-        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+    def test_first_cap_clamped_below_float_max(self, s3):
+        # ||Y - G X||^2 is finite but sits just under the float limit, so
+        # L d^2 from column 0's radius d overflows and the cap is clamped
+        y = math.sqrt(sys.float_info.max / 2)
+        inst = ProblemInstance(Y=np.array([[y, y]]), G=np.array([[1.0]]),
+                               A=IntMatrix(((1, -1),)), alphabet=s3, sparsity=2, target_rank=1)
+        d = babai_radius(inst.Y[:, 0], inst.lattice, CandidateSets.uniform(s3, 1))
+        assert inst.n_cols * d * d == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(inst)
+        assert res.stats.radius_expansions == 0
+        assert res.objective == oracle_solve(inst).objective
         verify_solution(inst, res.X)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_scaled_exact_fit_needs_no_cap_doubling(self, scale):
+        # an exact fit with integer G: Y = G X holds in floats at any scale,
+        # so the optimum is 0 and column 0's radius is a cap no pass misses
+        # (at 1e12, before the decoder's absolute rounding slack: 40 doublings
+        # and 53 decodes)
+        spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
+        inst0, planted = generate_instance(spec)
+        G = np.round(4.0 * inst0.G) * scale
+        Y = G @ np.array(planted.entries, dtype=float)
+        inst = ProblemInstance(Y=Y, G=G, A=inst0.A, alphabet=S3, sparsity=inst0.sparsity,
+                               target_rank=3)
+        res = solve(inst)
+        assert res.X == planted
+        assert res.objective == 0.0
+        assert res.stats.radius_expansions == 0
+        assert res.stats.sphere_calls == 7
 
     def test_hard_instance_within_decode_budget(self):
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
@@ -537,7 +593,7 @@ class TestSolve:
         assert asked == 93_681
 
     def test_decodes_reused_across_cap_doublings(self):
-        # the default first cap is doubled three times here, and the passes
+        # the first cap is doubled three times here, and the passes
         # ask again for decodes of a column and candidate sets made before
         spec = GenSpec(n_rows=3, n_cols=6, n_meas=4, alphabet=S3, sigma=0.8, seed=3)
         inst, _ = generate_instance(spec)

@@ -255,6 +255,25 @@ class TestSphereDecode:
         got = sphere_decode(y, G, d, CandidateSets.uniform(S3, 2))
         assert x0 in [c.x for c in got]
 
+    @pytest.mark.parametrize("rel", [1e-12, 1e-10, 1e-8])
+    def test_boundary_points_of_near_exact_fits_included(self, rel):
+        # y sits rel * ||y|| from G x: rounding of order eps * ||y|| in the
+        # partial sums moves the summed distance by about 2 d eps ||y||, more
+        # than a slack relative to d^2 allows (129-148 of 300 points were lost
+        # with that slack alone, and with only an absolute (c eps ||y||)^2
+        # added, 28 at 1e-12 and 129-147 at 1e-10 and 1e-8)
+        rng = np.random.default_rng(3)
+        sets = CandidateSets.uniform(S3, 3)
+        for _ in range(300):
+            G = rng.standard_normal((4, 3))
+            x = rng.integers(-1, 2, size=3)
+            x[0] = x[0] or 1
+            y0 = G @ x
+            y = y0 + rel * np.linalg.norm(y0) * rng.standard_normal(4)
+            r = y - G @ x.astype(float)
+            got = sphere_decode(y, G, math.sqrt(float(r @ r)), sets)
+            assert tuple(x.tolist()) in [c.x for c in got]
+
 
 class TestBabaiRadius:
     def test_exact_point_tiny_radius(self):
@@ -283,6 +302,23 @@ class TestBabaiRadius:
         for j in range(ex_Y.shape[1]):
             r = babai_radius(ex_Y[:, j], ex_G, sets)
             assert sphere_decode(ex_Y[:, j], ex_G, r, sets)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12, 1e15])
+    def test_decode_at_babai_radius_nonempty_at_any_scale(self, scale):
+        # exact fits y = G x with integer G, scaled: rounding in Q^T y and in
+        # the partial sums grows with ||y||, so a slack relative to the
+        # radius alone lost the fit point on most of these (166 of 200 at
+        # 1e6, 196-197 from 1e9 up)
+        rng = np.random.default_rng(7)
+        sets = CandidateSets.uniform(S3, 3)
+        for _ in range(200):
+            G = rng.integers(-5, 6, size=(4, 3)).astype(float)
+            while np.linalg.matrix_rank(G) < 3:
+                G = rng.integers(-5, 6, size=(4, 3)).astype(float)
+            x = rng.integers(-1, 2, size=3)
+            G *= scale
+            y = G @ x
+            assert sphere_decode(y, G, babai_radius(y, G, sets), sets)
 
     def test_back_substitution_matches_least_squares(self):
         # reference: snap numpy's least-squares solution, as a raw-G caller would
