@@ -37,7 +37,6 @@ from .spheredec import (
     PreparedLattice,
     SphereCandidate,
     babai_radius,
-    column_floors,
     qr_positive,
     sphere_decode,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SolveStats",
     "SphereCandidate",
     "babai_radius",
-    "column_floors",
     "derive_column_sets",
     "generate_instance",
     "hermite_normal_form",

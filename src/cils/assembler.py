@@ -23,22 +23,34 @@ _line), which covers duplicated rows too; no leaf below it has rank N.
 Dependence among three or more settled rows is not tested there, so leaves
 are still rank-checked exactly.
 
-Branch and bound: every column of every feasible X lies in V_k^N, where V_k
-is the set of values the feasible rows take at coordinate k, so no X fits
-column k better than the floor c_k = min ||y_k - G x||^2 over that product
-(spheredec.column_floors finds every c_k in one pass per instance), and
-LB(j) = sum over k >= j of c_k bounds the cost of columns j.. of any X.  A
-floor is at least the column's residual outside G's span, and it is nonzero
-in general even when G is square.  One pass searches below an objective cap:
-the best objective starts at the cap, column j is decoded at radius
-sqrt(best - acc - LB(j+1)) given the cost `acc` of the columns fixed so far,
-and a candidate is dropped once acc + dist2 + LB(j+1) reaches best.  Every
-prune discards only leaves costing at least the best objective, so a pass
-that finds a leaf returns the global optimum, and a pass that finds none
-proves the optimum is at least the cap.  The first cap is L d^2, with d the
-Babai radius of column 0 (spheredec.babai_radius: the residual of the
-column's least-squares point snapped into its candidate sets), clamped below
-the largest finite float; it doubles after each pass that finds nothing.
+Branch and bound: every leaf below a node keeps each output row inside its
+range, so at column k row i takes one of the column-k values of its range,
+and no leaf fits column k better than the floor of the per-row product of
+those value sets: min ||y_k - G x||^2 over it.  The floors of columns j..
+sum to the node's bound on their cost.  At the root every range is all of
+F, so the floor of column k is c_k over V_k^N, V_k the values F takes at
+coordinate k, and the bound is sum_k c_k; it is nonzero in general even when
+G is square.  One table per instance (spheredec.FloorTable) holds every
+point of V_k^N per column, sorted by cost, and a floor is the cost of the
+first point of the product in that order.  RangeBound keeps, per solve, one
+bit mask per range (the values its rows take, per column) and each floor it
+has looked up, so a child recomputes only the columns whose value sets its
+narrowed ranges changed.  The table's one pass holds L |W|^N points (W the
+values F takes), and a solve needing more than FLOOR_TABLE_LIMIT is refused
+with ValueError before the table is built.
+
+One pass searches below an objective cap: the best objective starts at the
+cap, and a node at column j with cost `acc` of its fixed columns decodes
+column j at radius sqrt(best - acc - rest), `rest` the sum of its floors
+over columns j+1..  A candidate is dropped once acc + dist2 + rest reaches
+best, and a child once acc + dist2 plus its own floors over columns j+1..
+does; those floors' sum past column j+1 is the child's `rest`.  Every prune
+discards only leaves costing at least the best objective, so a pass that
+finds a leaf returns the global optimum, and a pass that finds none proves
+the optimum is at least the cap.  The first cap is L d^2, with d the Babai
+radius of column 0 (spheredec.babai_radius: the residual of the column's
+least-squares point snapped into its candidate sets), clamped below the
+largest finite float; it doubles after each pass that finds nothing.
 
 Decode reuse: column j of Y is fixed per instance, so j and the per-row
 candidate sets determine a column decode up to its radius, and sibling
@@ -53,6 +65,7 @@ expression, so the candidates are bitwise those a fresh decode returns.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -67,19 +80,19 @@ from .intlin import IntMatrix, int_rank
 from .spheredec import (
     BOUNDARY_SLACK,
     CandidateSets,
+    FloorTable,
     PreparedLattice,
     SphereCandidate,
     babai_radius,
-    column_floors,
     sphere_decode,
 )
 
-# relative shrink of the suffix bound, so rounding in the per-column
-# distances never lets the bound discard a strict improvement
-BOUND_SLACK = 1e-9
-
 # factor by which the objective cap grows after a pass that finds no leaf
 CAP_GROWTH = 2.0
+
+# most points the floor table's one pass may hold (L |W|^N, see RangeBound);
+# a solve whose table would hold more is refused before the table is built
+FLOOR_TABLE_LIMIT = 1 << 18
 
 # (column, per-row candidate values) -> (radius, candidates) of the widest
 # decode of that column and candidate sets made so far in one solve
@@ -197,19 +210,20 @@ class SolveStats:
     """Work counters of one solve.
 
     `radius_expansions` counts the doublings of the objective cap after
-    passes that found no leaf; `backtracks` counts empty candidate lists,
-    whether decoded or reused, plus rank prunes, and `rank_rejects` the rank
-    prunes alone, at leaves (exact rank below N) and at inner nodes (a
-    settled row zero or two on one line);
-    `bound_prunes` counts column subtrees the bound cut before decoding them:
-    a candidate dropped because acc + dist2 + LB(j+1) reached the best
-    objective (or the cap), or a column whose remaining budget was already
-    spent.  LB is the suffix sum of the per-column alphabet-relaxed floors,
-    which are computed without sphere_decode, so `sphere_calls` counts the
-    search's decodes only.  `decode_reuses` counts the column decodes
-    answered from a wider decode of the same column and candidate sets
-    earlier in the solve, so sphere_calls + decode_reuses is the number of
-    column decodes the search asked for.
+    passes that found no leaf.  `backtracks` counts prunes by reason other
+    than the bound and is the sum of two counters: `empty_decodes`, the
+    column decodes that returned no candidate, whether decoded or reused,
+    and `rank_rejects`, the rank prunes at leaves (exact rank below N) and at
+    inner nodes (a settled row zero or two on one line).  `bound_prunes`
+    counts column subtrees the bound cut before decoding them: a candidate
+    dropped because acc + dist2 + rest reached the best objective (or the
+    cap), a child whose own floors over the columns after its parent's did,
+    or a column whose remaining budget was already spent.  The floors come
+    from a per-instance table, not from sphere_decode, so `sphere_calls`
+    counts the search's decodes only.  `decode_reuses` counts the column
+    decodes answered from a wider decode of the same column and candidate
+    sets earlier in the solve, so sphere_calls + decode_reuses is the number
+    of column decodes the search asked for.
     """
 
     dioph_nodes: int = 0
@@ -217,6 +231,7 @@ class SolveStats:
     decode_reuses: int = 0
     radius_expansions: int = 0
     backtracks: int = 0
+    empty_decodes: int = 0
     rank_rejects: int = 0
     bound_prunes: int = 0
     wall_time: float = 0.0
@@ -415,19 +430,88 @@ def verify_solution(instance: ProblemInstance, X: IntMatrix) -> None:
         raise ValueError(f"X has rank {r}, required {instance.target_rank}")
 
 
-def _suffix_bound(instance: ProblemInstance, F: np.ndarray) -> list[float]:
-    """LB(j) for j = 0..L: a lower bound on the cost of columns j.. of any X.
+class RangeBound:
+    """The range-conditioned bound of one solve.
 
-    Column k of any feasible X takes only values that the feasible rows F
-    take at coordinate k, so its cost is at least the floor c_k over that
-    product; the sum of the floors over columns j.. (shrunk by BOUND_SLACK)
-    bounds the rest.
+    Row i of a node can take at column k only the column-k values of its
+    range feasible[lo:hi], so no completion of the node fits column k better
+    than the floor of the per-row product of those values (FloorTable), and
+    the floors of columns j.. sum to a bound on their cost.  A span's mask
+    ORs the per-row codes of its rows, with bit (k N + i) |S| + t set when a
+    row takes values[t] at column k (the row's own bits sit in field i = 0);
+    a node's mask ORs its N span masks, the i-th shifted into field i, so
+    the N |S| bits of column k are the FloorTable mask of that column.  Span
+    masks and floors are kept for the rest of the solve: `span_masks` maps a
+    range to its mask, and `memo[k]` a column-k mask to its floor.  `root`
+    holds the mask and floors of the root, `bundle0`.
     """
-    values = instance.alphabet.values
-    allowed = (F[:, :, None] == np.array(values, dtype=F.dtype)).any(axis=0)
-    floors = column_floors(instance.lattice, instance.Y, values, allowed)
-    suffix = np.concatenate([np.cumsum(floors[::-1])[::-1], [0.0]])
-    return (suffix * (1.0 - BOUND_SLACK)).tolist()
+
+    def __init__(self, instance: ProblemInstance, F: np.ndarray, bundle0: RowTreeBundle) -> None:
+        values = instance.alphabet.values
+        n, width = instance.n_rows, len(values)
+        rows = np.array(bundle0.feasible, dtype=F.dtype)
+        hit = rows[:, :, None] == np.array(values, dtype=F.dtype)
+        allowed = hit.any(axis=0)
+        # the table's one pass holds L |W|^N points, W the values F takes
+        size = len(allowed) * int(allowed.any(axis=0).sum()) ** n
+        if size > FLOOR_TABLE_LIMIT:
+            raise ValueError(
+                f"the column floor table needs {size} points for N = {n} rows over "
+                f"|S| = {width} values (at most {FLOOR_TABLE_LIMIT})"
+            )
+        self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
+        bits = np.zeros(hit.shape[:2] + (n * width,), dtype=bool)
+        bits[:, :, :width] = hit
+        packed = np.packbits(bits.reshape(len(rows), -1), axis=1, bitorder="little")
+        step = packed.shape[1]
+        data = packed.tobytes()
+        self.row_masks = [
+            int.from_bytes(data[o : o + step], "little") for o in range(0, len(data), step)
+        ]
+        self.shifts = range(0, n * width, width)
+        self.field = n * width
+        self.full = (1 << self.field) - 1
+        self.memo: list[dict[int, float]] = [{} for _ in range(instance.n_cols)]
+        # every root range is all of F, whose mask holds every point of V_k^N
+        whole = functools.reduce(operator.or_, self.row_masks)
+        self.span_masks: dict[tuple[int, int], int] = {(0, len(rows)): whole}
+        self.root = (
+            sum(whole << shift for shift in self.shifts),
+            [floors[0] for floors in self.table.floors],
+        )
+
+    def child(
+        self, j: int, before: int, floors: list[float], spans: tuple[tuple[int, int], ...]
+    ) -> tuple[int, list[float]]:
+        """Mask and per-column floors of a node at depth j + 1 with these ranges.
+
+        `before` and `floors` are its parent's mask and floors; only the
+        columns k > j whose mask field differs from the parent's are looked
+        up again, so j = -1 with before = 0 looks up every column.
+        """
+        cache = self.span_masks
+        mask = 0
+        for span, shift in zip(spans, self.shifts):
+            m = cache.get(span)
+            if m is None:
+                lo, hi = span
+                m = cache[span] = functools.reduce(operator.or_, self.row_masks[lo:hi])
+            mask |= m << shift
+        field = self.field
+        changed = (before ^ mask) >> ((j + 1) * field)
+        if changed:
+            floors = floors.copy()
+            full, memo, table = self.full, self.memo, self.table
+            while changed:
+                d = (changed.bit_length() - 1) // field
+                k = j + 1 + d
+                key = (mask >> (k * field)) & full
+                f = memo[k].get(key)
+                if f is None:
+                    f = memo[k][key] = table.floor(k, key)
+                floors[k] = f
+                changed &= (1 << (d * field)) - 1
+        return mask, floors
 
 
 def _cut_decode(candidates: list[SphereCandidate], radius: float) -> list[SphereCandidate]:
@@ -446,17 +530,19 @@ def _search(
     instance: ProblemInstance,
     bundle0: RowTreeBundle,
     cap: float,
-    lb: list[float],
+    bound: RangeBound,
     memo: DecodeMemo,
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
     """Best leaf with objective below `cap`, or None if every leaf reaches it.
 
-    The running best objective starts at the cap.  Column j is decoded at
-    radius sqrt(best - acc - lb[j+1]), the budget the best objective leaves
-    it, and a candidate is dropped once acc + dist2 + lb[j+1] reaches the
-    best objective.  lb[j] = sum over k >= j of the column floors c_k (see
-    _suffix_bound): no feasible column k fits better than c_k, so each prune
+    The running best objective starts at the cap.  A node at column j holds
+    the floors of its own ranges (see RangeBound) and `rest`, their sum over
+    columns j+1..  Column j is decoded at radius sqrt(best - acc - rest), the
+    budget the best objective leaves it, and a candidate is dropped once
+    acc + dist2 + rest reaches the best objective; a child is dropped once
+    acc + dist2 plus its own floors over columns j+1.. does.  No completion
+    of a node fits a column better than its floor there, so each prune
     discards only leaves costing at least the best objective, and a returned
     leaf is the minimum over all leaves below the cap.  `memo` holds the
     widest decode per (column, candidate sets) made so far in the solve; a
@@ -471,7 +557,9 @@ def _search(
     best_obj = cap
     best_X: IntMatrix | None = None
 
-    def recurse(j: int, bundle: RowTreeBundle, acc: float) -> None:
+    def recurse(
+        j: int, bundle: RowTreeBundle, acc: float, mask: int, floors: list[float], rest: float
+    ) -> None:
         nonlocal best_obj, best_X
         if j == n_cols:
             X = IntMatrix(tuple(feasible[lo] for lo, _ in bundle.spans))
@@ -484,7 +572,6 @@ def _search(
                 best_obj = obj
                 best_X = X
             return
-        rest = lb[j + 1]
         budget = best_obj - acc - rest
         if budget <= 0.0:
             stats.bound_prunes += 1
@@ -502,19 +589,31 @@ def _search(
             stats.sphere_calls += 1
         if not candidates:
             stats.backtracks += 1
+            stats.empty_decodes += 1
             return
+        last = j + 1 == n_cols
         for k, cand in enumerate(candidates):
-            if acc + cand.dist2 + rest >= best_obj:
+            cost = acc + cand.dist2
+            if cost + rest >= best_obj:
                 stats.bound_prunes += len(candidates) - k
                 break
             child = prune_with_column(bundle, j, cand.x)
+            if last:
+                cmask, cfloors, crest = 0, floors, 0.0
+            else:
+                cmask, cfloors = bound.child(j, mask, floors, child.spans)
+                crest = sum(cfloors[j + 2 :])
+                if cost + cfloors[j + 1] + crest >= best_obj:
+                    stats.bound_prunes += 1
+                    continue
             if _settled_rows_dependent(child):
                 stats.backtracks += 1
                 stats.rank_rejects += 1
                 continue
-            recurse(j + 1, child, acc + cand.dist2)
+            recurse(j + 1, child, cost, cmask, cfloors, crest)
 
-    recurse(0, bundle0, 0.0)
+    mask, floors = bound.root
+    recurse(0, bundle0, 0.0, mask, floors, sum(floors[1:]))
     if best_X is None:
         return None
     return best_obj, best_X
@@ -524,7 +623,9 @@ def solve(instance: ProblemInstance) -> SolveResult:
     """Global minimizer of ||Y - G X||_F^2 under all instance constraints.
 
     Raises InfeasibleError when the feasible rows cannot reach the target
-    rank; the exception's feasible_rank reports what was attainable.
+    rank; the exception's feasible_rank reports what was attainable.  Raises
+    ValueError when the floor table of the bound would hold more than
+    FLOOR_TABLE_LIMIT points.
     """
     t0 = time.perf_counter()
     stats = SolveStats()
@@ -540,17 +641,17 @@ def solve(instance: ProblemInstance) -> SolveResult:
             feasible_rank=span_rank,
         )
     bundle0 = RowTreeBundle.initial(feasible, instance.n_rows)
+    bound = RangeBound(instance, F, bundle0)
     d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
-    lb = _suffix_bound(instance, F)
     # d is at least 1e-9, but its slack can carry L d^2 past the largest float
     # when ||Y - G X||^2 sits at the float limit
     cap = min(instance.n_cols * d * d, sys.float_info.max)
     memo: DecodeMemo = {}
-    best = _search(instance, bundle0, cap, lb, memo, stats)
+    best = _search(instance, bundle0, cap, bound, memo, stats)
     while best is None:
         cap *= CAP_GROWTH
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, cap, lb, memo, stats)
+        best = _search(instance, bundle0, cap, bound, memo, stats)
     obj, X = best
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0

@@ -13,9 +13,12 @@ eps * ||y|| (see ROUNDING_SLACK), so no boundary point is lost to accumulation
 error at any scale of y, and reported distances are recomputed directly from
 y and G.
 
-column_floors runs the same enumeration breadth first over every column of
-Y at once and keeps only each column's minimum distance; the assembler sums
-these floors into its branch-and-bound bound.
+FloorTable is the floor kernel of the assembler's branch-and-bound bound:
+per column of Y it lists every point of a per-column value product sorted by
+its distance, so the least distance over any per-coordinate sub-product is
+the first point of that sub-product in the list.  Its floors are shrunk by
+the decoder's rounding allowance, so none exceeds a distance the decoder
+reports for the same point.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .dioph import Alphabet, IntVector
 
 # relative slack on the squared radius for the inclusion test
 BOUNDARY_SLACK = 1e-9
+
+# relative shrink of every floor, so rounding in the per-column distances
+# never lets a bound built from floors discard a strict improvement
+BOUND_SLACK = 1e-9
 
 # Q^T y and the partial sums carry rounding of order eps * ||y|| per entry,
 # however small the radius, so a point at distance d may be summed to
@@ -205,62 +212,74 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
     return out
 
 
-def column_floors(lattice: PreparedLattice, Y, values, allowed) -> np.ndarray:
-    """Per column k of Y, min ||y_k - G x||^2 over x with every entry in V_k.
+class FloorTable:
+    """Per column k of Y, every x in V_k^N with its floor, sorted by cost.
 
     `values` is the sorted alphabet and `allowed` an L x |values| boolean
     mask; V_k holds the values that row k of the mask allows, and every row
-    must allow at least one.  All columns are searched in one breadth-first
-    pass.  Each column's radius is the residual of its Babai point, every
-    least-squares coordinate snapped to the nearest value of V_k (ties to the
-    smaller): the point lies in V_k^N, so the radius holds the minimum.  The
-    frontier holds (column, values fixed so far, partial cost) as arrays; it
-    enumerates coordinates last to first like sphere_decode, starts each
-    column at its outside-span residual and prunes with the decoder's slack,
-    and leaf distances are recomputed directly from y and G.  The result is
-    at least outside_span(Y), column by column.
+    must allow at least one.  A point's code sets bit i * |values| + t for
+    each coordinate i, where x_i = values[t]: one field of |values| bits per
+    coordinate.  A mask in the same layout stands for the product of the
+    values it sets per coordinate, and holds a point exactly when
+    code & mask == code.  floor(k, mask) is the least cost over the points of
+    V_k^N that the mask holds: the cost of the first one in sorted order.
+
+    The costs ||y_k - G x||^2 are computed directly from y and G, in one pass
+    over every column and every x in W^N, W the values some column allows,
+    so the pass holds L |W|^N points.  A point's floor is its cost shrunk by
+    the decoder's rounding allowance tau (see ROUNDING_SLACK) and by
+    BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point, at
+    any scale of y.  `floors[k]` and `codes[k]` list column k's points in
+    sorted order.
     """
-    Gm = lattice.G
-    m, n = Gm.shape
-    Y = np.asarray(Y, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    allowed = np.asarray(allowed, dtype=bool)
-    if Y.ndim != 2 or Y.shape[0] != m:
-        raise ValueError(f"Y must have {m} rows, got shape {Y.shape}")
-    if not np.isfinite(Y).all():
-        raise ValueError("Y entries must be finite")
-    n_cols = Y.shape[1]
-    if allowed.shape != (n_cols, len(vals)):
-        raise ValueError(
-            f"allowed must be {n_cols}x{len(vals)}, got shape {allowed.shape}"
-        )
-    if not allowed.any(axis=1).all():
-        raise ValueError("every column needs at least one allowed value")
-    R = np.array(lattice.R)
-    Z = lattice.Q1t @ Y
-    # Babai point: each least-squares coordinate snapped into V_k
-    gap = np.abs(vals - np.linalg.solve(R, Z)[:, :, None])
-    gap[:, ~allowed] = np.inf
-    r = Y - Gm @ vals[np.argmin(gap, axis=2)]
-    floors = np.einsum("ij,ij->j", r, r)
-    # a value passes where its cost is within the column's pruning radius,
-    # with sphere_decode's slack; costs are never negative, so -1 shuts out
-    # the values V_k lacks
-    tau = ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))
-    prune = (np.sqrt(floors) * (1.0 + BOUNDARY_SLACK) + tau) ** 2
-    limit = np.where(allowed, prune[:, None], -1.0)
-    col = np.arange(n_cols)
-    acc = lattice.outside_span(Y)
-    x = np.zeros((n_cols, n))
-    for i in range(n - 1, -1, -1):
-        b = Z[i, col] - x[:, i + 1 :] @ R[i, i + 1 :]
-        cost = acc[:, None] + (b[:, None] - R[i, i] * vals) ** 2
-        node, v = np.nonzero(cost <= limit[col])
-        col, acc, x = col[node], cost[node, v], x[node]
-        x[:, i] = vals[v]
-    r = Y[:, col] - Gm @ x.T
-    np.minimum.at(floors, col, np.einsum("ij,ij->j", r, r))
-    return floors
+
+    def __init__(self, lattice: PreparedLattice, Y, values, allowed) -> None:
+        Gm = lattice.G
+        m, n = Gm.shape
+        Y = np.asarray(Y, dtype=float)
+        vals = np.asarray(values, dtype=float)
+        allowed = np.asarray(allowed, dtype=bool)
+        if Y.ndim != 2 or Y.shape[0] != m:
+            raise ValueError(f"Y must have {m} rows, got shape {Y.shape}")
+        if not np.isfinite(Y).all():
+            raise ValueError("Y entries must be finite")
+        n_cols = Y.shape[1]
+        if allowed.shape != (n_cols, len(vals)):
+            raise ValueError(
+                f"allowed must be {n_cols}x{len(vals)}, got shape {allowed.shape}"
+            )
+        if not allowed.any(axis=1).all():
+            raise ValueError("every column needs at least one allowed value")
+        width = len(vals)
+        t = np.flatnonzero(allowed.any(axis=0))
+        # every point of W^N, coordinate 0 varying slowest
+        digits = t[np.indices((len(t),) * n).reshape(n, -1)]
+        r = Y[:, :, None] - (Gm @ vals[digits])[:, None, :]
+        cost = np.einsum("ikp,ikp->kp", r, r)
+        # points outside V_k^N sort last, with an infinite floor
+        inside = allowed[:, digits].all(axis=1)
+        cost[~inside] = np.inf
+        tau = ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))
+        floor = np.maximum(np.sqrt(cost) - tau[:, None], 0.0) ** 2 * (1.0 - BOUND_SLACK)
+        order = np.argsort(floor, axis=1)
+        floor.sort(axis=1)
+        # Python ints, so codes wider than 64 bits stay exact
+        codes = [0]
+        for i in range(n):
+            bits = [1 << (i * width + v) for v in t.tolist()]
+            codes = [c | b for c in codes for b in bits]
+        counts = inside.sum(axis=1).tolist()
+        self.floors = [f[:c] for f, c in zip(floor.tolist(), counts)]
+        self.codes = [
+            a[:c] for a, c in zip(np.array(codes, dtype=object)[order].tolist(), counts)
+        ]
+
+    def floor(self, k: int, mask: int) -> float:
+        """Least floor of column k over the points the mask holds; inf if none."""
+        for code, f in zip(self.codes[k], self.floors[k]):
+            if code & mask == code:
+                return f
+        return math.inf
 
 
 def babai_radius(y, G, sets: CandidateSets) -> float:

@@ -4,6 +4,7 @@ special case.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cils.assembler
@@ -39,7 +40,7 @@ from cils import (
     tree_leaves,
     verify_solution,
 )
-from cils.assembler import _line, _settled_rows_dependent, _suffix_bound
+from cils.assembler import RangeBound, _line, _settled_rows_dependent
 from cils.harness import load_specs, trial_seeds
 from conftest import FEASIBLE_7, X_A_ROWS
 
@@ -47,6 +48,7 @@ S3 = Alphabet((-1, 0, 1))
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 HARD_TIER = SCRIPTS / "hard_tier.json"
 STRETCH_TIER = SCRIPTS / "stretch_tier.json"
+NOISY_TIER = SCRIPTS / "noisy_tier.json"
 
 
 @pytest.fixture(scope="module")
@@ -556,12 +558,13 @@ class TestSolve:
 
     def test_hard_tier_objectives_and_decode_budget(self):
         # the 12 hard-tier instances (three shapes, four trial seeds each):
-        # objectives pinned, total decodes under a ceiling (1,620 measured
-        # with decodes reused within a solve and subtrees cut as soon as two
-        # settled rows share a line, 1,881 with that cut made at the leaves
-        # alone); every column decode the search asks for is decoded or
-        # reused, 10,970 of them (14,185 with the cut at the leaves alone,
-        # 189,505 with the outside-span bound in place of the column floors)
+        # objectives pinned, total decodes under a ceiling (488 measured with
+        # each node bounded by the floors of its own row ranges, 1,620 with
+        # the per-instance suffix of column floors); every column decode the
+        # search asks for is decoded or reused, 1,248 of them (10,970 with
+        # the per-instance suffix, 14,185 with rank-dead subtrees cut at the
+        # leaves alone, 189,505 with the outside-span bound); no decode comes
+        # back empty, so every backtrack is a rank prune
         objectives = [
             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
@@ -573,15 +576,18 @@ class TestSolve:
                 inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
                 res = solve(inst)
                 assert res.objective == pytest.approx(want, rel=1e-9)
+                assert res.stats.empty_decodes == 0
+                assert res.stats.backtracks == res.stats.rank_rejects
                 calls += res.stats.sphere_calls
                 asked += res.stats.sphere_calls + res.stats.decode_reuses
-        assert calls <= 2_100
-        assert asked == 10_970
+        assert calls <= 600
+        assert asked == 1_248
 
     def test_stretch_tier_objectives_and_decodes_asked(self):
         # the 4 stretch-tier instances: objectives pinned, and the column
-        # decodes the search asks for, decoded or reused (126,318 with
-        # rank-dead subtrees cut at the leaves alone)
+        # decodes the search asks for, decoded or reused (93,681 with the
+        # per-instance suffix of column floors, 126,318 with rank-dead
+        # subtrees cut at the leaves alone); no decode comes back empty
         objectives = [38.400958083654245, 31.452660276391825, 30.201242185320734, 28.95642576897489]
         (spec,) = load_specs(STRETCH_TIER)
         asked = 0
@@ -589,8 +595,20 @@ class TestSolve:
             inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
             res = solve(inst)
             assert res.objective == pytest.approx(want, rel=1e-9)
+            assert res.stats.empty_decodes == 0
+            assert res.stats.backtracks == res.stats.rank_rejects
             asked += res.stats.sphere_calls + res.stats.decode_reuses
-        assert asked == 93_681
+        assert asked == 1_349
+
+    def test_noisy_tier_trial_objective(self):
+        # trial 1 of the sigma = 1.0 stretch shape (scripts/noisy_tier.json):
+        # about 0.5 s of CPU with each node bounded by its own row ranges,
+        # 7.7 s with the per-instance suffix of column floors
+        (spec,) = load_specs(NOISY_TIER)
+        inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
+        res = solve(inst)
+        assert res.objective == pytest.approx(125.8106411055673, rel=1e-9)
+        assert res.stats.empty_decodes == 0
 
     def test_decodes_reused_across_cap_doublings(self):
         # the first cap is doubled three times here, and the passes
@@ -640,7 +658,8 @@ class TestBoundEdgeShapes:
             assert inst.lattice.Q2t.shape[0] == 0
             assert not inst.lattice.outside_span(inst.Y).any()
             F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
-            assert _suffix_bound(inst, F)[0] > 0.0
+            bound = RangeBound(inst, F, RowTreeBundle.initial(tree_leaves(F), n))
+            assert sum(bound.root[1]) > 0.0
             prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
         assert prunes > 0
 
@@ -683,6 +702,109 @@ class TestBoundEdgeShapes:
         verify_solution(inst, res.X)
         assert res.objective == ref.objective
         assert objective(Y, G, res.X) == ref.objective
+
+
+class TestRangeBound:
+    """Each node's bound from the floors of its own row ranges."""
+
+    @staticmethod
+    def bound_of(inst):
+        F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
+        bundle = RowTreeBundle.initial(tree_leaves(F), inst.n_rows)
+        return F, bundle, RangeBound(inst, F, bundle)
+
+    @given(inst=degenerate_instances(), data=st.data())
+    @settings(max_examples=60)
+    def test_node_bound_below_cheapest_completion(self, inst, data):
+        assume(oracle_F(inst.A, inst.alphabet, inst.sparsity))
+        _, bundle, bound = self.bound_of(inst)
+        depth = data.draw(st.integers(0, inst.n_cols - 1), label="depth")
+        for j in range(depth):
+            sets = derive_column_sets(bundle, j).sets
+            x_col = tuple(data.draw(st.sampled_from(a.values)) for a in sets)
+            bundle = prune_with_column(bundle, j, x_col)
+        _, floors = bound.child(-1, 0, [0.0] * inst.n_cols, bundle.spans)
+        # every completion: one row of its range per output row
+        rows = np.array(bundle.feasible, dtype=float)[:, depth:]
+        stacks = np.array(list(itertools.product(*(range(lo, hi) for lo, hi in bundle.spans))))
+        r = inst.Y[None, :, depth:] - np.einsum("mn,pnl->pml", inst.G, rows[stacks])
+        assert sum(floors[depth:]) <= float(np.einsum("pml,pml->p", r, r).min())
+
+    @given(inst=degenerate_instances())
+    @settings(max_examples=40)
+    def test_root_bound_is_the_column_floor_sum(self, inst):
+        # at the root every row ranges over all of F, so column k's floor is
+        # c_k = min ||y_k - G x||^2 over V_k^N, V_k the values F takes there
+        assume(oracle_F(inst.A, inst.alphabet, inst.sparsity))
+        F, bundle, bound = self.bound_of(inst)
+        _, floors = bound.root
+        assert bound.root == bound.child(-1, 0, [0.0] * inst.n_cols, bundle.spans)
+        want = sum(
+            min(
+                float(np.sum((inst.Y[:, k] - inst.G @ np.array(x, dtype=float)) ** 2))
+                for x in itertools.product(sorted(set(F[:, k].tolist())), repeat=inst.n_rows)
+            )
+            for k in range(inst.n_cols)
+        )
+        assert sum(floors) <= want
+        assert abs(sum(floors) - want) <= 1e-8 * max(1.0, want)
+
+    def test_oversize_table_refused_before_it_is_built(self, monkeypatch):
+        # 12 rows over {-1, 0, 1}: the table's pass would hold 12 * 3^12 points
+        class Refused:
+            def __init__(self, *args):
+                raise AssertionError("the floor table was built")
+
+        monkeypatch.setattr(cils.assembler, "FloorTable", Refused)
+        inst = ProblemInstance(Y=np.zeros((12, 12)), G=np.eye(12), A=IntMatrix(((0,) * 12,)),
+                               alphabet=S3, sparsity=1, target_rank=12)
+        with pytest.raises(ValueError, match=r"6377292 points for N = 12 rows over \|S\| = 3"):
+            solve(inst)
+
+    def test_codes_wider_than_64_bits_match_oracle(self):
+        # 40 values and N = 2: one column's field of a mask spans 80 bits
+        alphabet = Alphabet(tuple(range(-20, 20)))
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((3, 2))
+        X = np.array([[3.0, 3.0, 0.0], [0.0, 0.0, -17.0]])
+        inst = ProblemInstance(Y=G @ X + 0.5 * rng.standard_normal((3, 3)), G=G,
+                               A=IntMatrix(((1, -1, 0),)), alphabet=alphabet, sparsity=2,
+                               target_rank=2)
+        _, _, bound = self.bound_of(inst)
+        assert max(max(codes) for codes in bound.table.codes).bit_length() > 64
+        res = solve(inst)
+        ref = oracle_solve(inst)
+        assert res.X == ref.X
+        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12, 1e15])
+    def test_scaled_near_exact_fits_match_oracle(self, scale):
+        # Y sits 1e-9 ||Y|| from G X: the table's batched residuals and the
+        # decoder's round differently by eps ||y||, far more than a slack
+        # relative to the floors alone covers
+        for seed in range(3):
+            spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=seed)
+            inst0, planted = generate_instance(spec)
+            G = inst0.G * scale
+            Y = G @ np.array(planted.entries, dtype=float)
+            Y += 1e-9 * np.abs(Y).max() * np.random.default_rng(seed).standard_normal(Y.shape)
+            inst = ProblemInstance(Y=Y, G=G, A=inst0.A, alphabet=S3, sparsity=inst0.sparsity,
+                                   target_rank=3)
+            res = solve(inst)
+            ref = oracle_solve(inst)
+            assert res.X == ref.X
+            assert res.objective == objective(inst.Y, inst.G, ref.X)
+
+    def test_floor_table_at_the_float_limit(self, s3):
+        # ||y - G x||^2 sits within about 2e-10 of the largest float, and
+        # x = -1 and x = 1 tie, since y +- 1 rounds to y
+        y = math.sqrt(sys.float_info.max) * (1.0 - 1e-10)
+        inst = ProblemInstance(Y=np.array([[y]]), G=np.array([[1.0]]), A=IntMatrix(((0,),)),
+                               alphabet=s3, sparsity=1, target_rank=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(inst)
+        assert res.objective == oracle_solve(inst).objective == y * y
 
 
 class TestObjective:

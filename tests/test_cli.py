@@ -95,6 +95,7 @@ class TestSolveCommand:
             "decode_reuses",
             "radius_expansions",
             "backtracks",
+            "empty_decodes",
             "rank_rejects",
             "bound_prunes",
             "wall_time",
@@ -108,6 +109,8 @@ class TestSolveCommand:
         assert doc["objective"] <= 1e-18
         assert doc["stats"]["dioph_nodes"] > 0
         assert doc["stats"]["bound_prunes"] >= 0
+        stats = doc["stats"]
+        assert stats["backtracks"] == stats["empty_decodes"] + stats["rank_rejects"]
 
     def test_infinite_radius_flag_exits_1(self, ex_file, capsys):
         # solve has no --radius option: the first objective cap is derived

@@ -138,6 +138,11 @@ class TestSpecFiles:
         assert (spec.alphabet, spec.n_constraints, spec.sparsity) == (S3, 6, 5)
         assert (spec.sigma, spec.seed) == (0.5, 0)
 
+    def test_noisy_tier_is_the_stretch_shape_at_sigma_1(self):
+        (stretch,) = load_specs(SCRIPTS / "stretch_tier.json")
+        (noisy,) = load_specs(SCRIPTS / "noisy_tier.json")
+        assert noisy == dataclasses.replace(stretch, sigma=1.0)
+
     def test_quick_sweep_file_loads(self):
         specs = load_specs(SCRIPTS / "bench_specs.json")
         assert sum(s.trials for s in specs) == 20

@@ -2,8 +2,8 @@
 
 The independent reference is oracle_sphere (full product scan, no QR); the
 worked example pins the decoded first and second columns at radius 0.5.  A
-prepared lattice and the raw matrix must decode identically.  The column
-floors are checked against an itertools.product scan.
+prepared lattice and the raw matrix must decode identically.  The floor
+table is checked against an itertools.product scan.
 """
 
 import itertools
@@ -21,14 +21,14 @@ from cils import (
     PreparedLattice,
     ProblemInstance,
     babai_radius,
-    column_floors,
     oracle_sphere,
     qr_positive,
     solve_diophantine_sparse,
     sphere_decode,
 )
-from cils.assembler import _cut_decode, _suffix_bound
-from cils.spheredec import BOUNDARY_SLACK
+from cils.assembler import RangeBound, RowTreeBundle, _cut_decode
+from cils.dioph import tree_leaves
+from cils.spheredec import BOUNDARY_SLACK, FloorTable
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -354,28 +354,32 @@ class TestBabaiRadius:
         assert abs(r - math.sqrt(0.5)) <= 1e-6
 
 
-def brute_floors(G, Y, value_sets):
-    """Per column k, min ||y_k - G x||^2 over x in value_sets[k]^N, by scan."""
-    return np.array([
-        min(
-            float(np.sum((Y[:, k] - G @ np.array(x, dtype=float)) ** 2))
-            for x in itertools.product(vk, repeat=G.shape[1])
-        )
-        for k, vk in enumerate(value_sets)
-    ])
+def brute_floor(G, y, value_sets):
+    """min ||y - G x||^2 over x with x_i in value_sets[i], by scan."""
+    return min(
+        float(np.sum((y - G @ np.array(x, dtype=float)) ** 2))
+        for x in itertools.product(*value_sets)
+    )
 
 
-def assert_floors_match(got, want, outside):
-    for f, b, o in zip(got, want, outside):
-        assert abs(f - b) <= 1e-9 * max(1.0, b)
-        assert f >= o - 1e-9 * max(1.0, o)
+def row_mask(values, value_sets):
+    """FloorTable mask of one value set per coordinate."""
+    width = len(values)
+    return sum(1 << (i * width + values.index(v)) for i, vs in enumerate(value_sets) for v in vs)
+
+
+def assert_floor_matches(got, want, outside=0.0):
+    assert got <= want
+    assert abs(got - want) <= 1e-8 * max(1.0, want)
+    assert got >= outside - 1e-9 * max(1.0, outside)
 
 
 class TestColumnFloors:
     @given(st.data())
     def test_equals_product_minimum(self, data):
         # subsets of -6..6, so zero-free and non-contiguous ones appear, and
-        # targets both inside and beyond the alphabet's range
+        # targets both inside and beyond the alphabet's range; each row of
+        # each column keeps a random nonempty subset of that column's values
         n = data.draw(st.integers(1, 3), label="N")
         m = n + data.draw(st.integers(0, 2), label="M - N")
         n_cols = data.draw(st.integers(1, 4), label="L")
@@ -392,15 +396,25 @@ class TestColumnFloors:
         except np.linalg.LinAlgError:
             assume(False)
         Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
-        got = column_floors(lattice, Y, values, allowed)
-        value_sets = [[v for v, ok in zip(values, mask) if ok] for mask in allowed]
-        assert_floors_match(got, brute_floors(G, Y, value_sets), lattice.outside_span(Y))
+        table = FloorTable(lattice, Y, values, allowed)
+        outside = lattice.outside_span(Y)
+        for k, mask in enumerate(allowed):
+            vk = [v for v, ok in zip(values, mask) if ok]
+            full = table.floor(k, row_mask(values, [vk] * n))
+            assert full == table.floors[k][0]
+            assert_floor_matches(full, brute_floor(G, Y[:, k], [vk] * n), outside[k])
+            sets = [
+                data.draw(st.lists(st.sampled_from(vk), min_size=1, unique=True), label="set")
+                for _ in range(n)
+            ]
+            got = table.floor(k, row_mask(values, sets))
+            assert_floor_matches(got, brute_floor(G, Y[:, k], sets), outside[k])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
     def test_huge_alphabet_object_rows(self, seed):
         # the feasible rows of a +-2**70 alphabet are a Python-int object
-        # array; the floors and the suffix bound come from them unchanged
+        # array; the root bound from them is the brute-force sum of the c_k
         alphabet = Alphabet((-(2**70), 0, 2**70))
         A = IntMatrix(((1, 0, 0, 0, 0), (0, 1, 1, 0, 0)))
         F, _ = solve_diophantine_sparse(A, alphabet, 3)
@@ -411,15 +425,14 @@ class TestColumnFloors:
         inst = ProblemInstance(Y=Y, G=G, A=A, alphabet=alphabet, sparsity=3, target_rank=2)
         value_sets = [sorted(set(F[:, k])) for k in range(5)]
         assert value_sets[0] == [0]
-        want = brute_floors(inst.G, inst.Y, value_sets)
-        allowed = np.array([[v in vk for v in alphabet.values] for vk in value_sets])
-        got = column_floors(inst.lattice, inst.Y, alphabet.values, allowed)
-        assert_floors_match(got, want, inst.lattice.outside_span(inst.Y))
-        suffix = np.append(np.cumsum(want[::-1])[::-1], 0.0)
-        lb = _suffix_bound(inst, F)
-        assert len(lb) == 6
-        for a, b in zip(lb, suffix):
-            assert a <= b and abs(a - b) <= 1e-8 * max(1.0, b)
+        feasible = tree_leaves(F)
+        _, floors = RangeBound(inst, F, RowTreeBundle.initial(feasible, 2)).root
+        outside = inst.lattice.outside_span(inst.Y)
+        want = [brute_floor(inst.G, inst.Y[:, k], [vk] * 2) for k, vk in enumerate(value_sets)]
+        for got, b, o in zip(floors, want, outside):
+            assert_floor_matches(got, b, o)
+        assert sum(floors) <= sum(want)
+        assert abs(sum(floors) - sum(want)) <= 1e-8 * max(1.0, sum(want))
 
     def test_square_lattice_has_positive_floors(self):
         # G = I, y = 0.5 per entry: no point of {-1, 1}^2 comes closer than
@@ -427,18 +440,57 @@ class TestColumnFloors:
         lattice = PreparedLattice.from_matrix(np.eye(2))
         Y = np.full((2, 3), 0.5)
         allowed = np.array([[True, False, True], [True, True, True], [False, False, True]])
-        got = column_floors(lattice, Y, (-1, 0, 1), allowed)
-        assert got.tolist() == [0.5, 0.5, 0.5]
+        table = FloorTable(lattice, Y, (-1, 0, 1), allowed)
+        for k in range(3):
+            assert 0.5 * (1.0 - 1e-8) <= table.floors[k][0] <= 0.5
         assert not lattice.outside_span(Y).any()
+
+    @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12, 1e15])
+    def test_floor_never_exceeds_decoder_distance(self, scale):
+        # near-exact fits at scale: y sits 1e-12 ||y|| from G x, so the
+        # table's batched residual and the decoder's round differently by
+        # far more than a slack relative to the cost alone covers (without
+        # the decoder's rounding allowance the floor of x exceeded its dist2
+        # on about half the 6x5 and 8x6 fits)
+        rng = np.random.default_rng(11)
+        values = (-1, 0, 1)
+        for m, n in [(4, 3), (6, 5), (8, 6)]:
+            for _ in range(30):
+                G = scale * rng.standard_normal((m, n))
+                lattice = PreparedLattice.from_matrix(G)
+                x = rng.integers(-1, 2, size=n)
+                y0 = G @ x
+                y = y0 + 1e-12 * np.linalg.norm(y0) * rng.standard_normal(m)
+                table = FloorTable(lattice, y[:, None], values, np.ones((1, 3), dtype=bool))
+                r = y - lattice.G @ x.astype(float)
+                got = table.floor(0, row_mask(values, [[v] for v in x.tolist()]))
+                assert got <= float(np.dot(r, r))
+
+    def test_codes_wider_than_64_bits(self):
+        # 70 values: coordinate 1's field starts at bit 70, so codes and
+        # masks exceed every fixed-width integer and must stay exact
+        values = tuple(range(-35, 35))
+        lattice = PreparedLattice.from_matrix(np.array([[1.0, 0.2], [0.0, 1.0], [0.3, 0.1]]))
+        Y = np.array([[30.4, -2.0], [33.6, 1.0], [-1.0, 9.0]])
+        allowed = np.zeros((2, 70), dtype=bool)
+        allowed[0, 60:] = True
+        allowed[1, :5] = allowed[1, 64:] = True
+        table = FloorTable(lattice, Y, values, allowed)
+        assert max(table.codes[0]).bit_length() > 64
+        for k in range(2):
+            vk = [v for v, ok in zip(values, allowed[k]) if ok]
+            for sets in ([vk, vk], [vk[-2:], vk[:1]], [vk[:3], vk[-1:]]):
+                got = table.floor(k, row_mask(values, sets))
+                assert_floor_matches(got, brute_floor(lattice.G, Y[:, k], sets))
 
     def test_bad_inputs_rejected(self):
         lattice = PreparedLattice.from_matrix(np.eye(2))
         Y = np.zeros((2, 3))
         with pytest.raises(ValueError, match="rows"):
-            column_floors(lattice, np.zeros((3, 3)), (0, 1), np.ones((3, 2), dtype=bool))
+            FloorTable(lattice, np.zeros((3, 3)), (0, 1), np.ones((3, 2), dtype=bool))
         with pytest.raises(ValueError, match="finite"):
-            column_floors(lattice, np.full((2, 3), np.nan), (0, 1), np.ones((3, 2), dtype=bool))
+            FloorTable(lattice, np.full((2, 3), np.nan), (0, 1), np.ones((3, 2), dtype=bool))
         with pytest.raises(ValueError, match="allowed must be"):
-            column_floors(lattice, Y, (0, 1), np.ones((2, 2), dtype=bool))
+            FloorTable(lattice, Y, (0, 1), np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="at least one"):
-            column_floors(lattice, Y, (0, 1), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
+            FloorTable(lattice, Y, (0, 1), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
