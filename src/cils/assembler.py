@@ -9,12 +9,12 @@ once (see dioph).  Stage two sorts F once and walks the columns left to
 right.  With columns 0..j-1 fixed, the rows of F that agree with an output
 row's choices so far form one contiguous range of the sorted F, so a search
 node is one (lo, hi) index pair per output row.  For each column the search
-reads the per-row candidate values off those ranges, sphere-decodes that
-column of Y against G, and recurses on each returned column vector after
-narrowing the ranges.  Each range is bisected into its per-value sub-ranges
-once per solve, the first time the search reaches it, and both steps read
-that split back (RowTreeBundle.splits).  G is QR-factored once per instance
-(ProblemInstance.lattice) and every decode reuses the factors.
+reads its candidate column vectors off the per-instance floor table (see
+below): the points x of that column's table whose entry x_i is a value that
+output row i's range takes there, in order of their distance to that column
+of Y.  It recurses on each after narrowing the ranges to the rows that take
+its values.  Each range is split into its per-value sub-ranges once per
+solve, the first time the search narrows it (RowTreeBundle.splits).
 
 Rank: a row is settled once its range holds a single row, and it keeps that
 row in every leaf below.  A branch is cut as soon as a settled row is zero
@@ -32,35 +32,29 @@ F, so the floor of column k is c_k over V_k^N, V_k the values F takes at
 coordinate k, and the bound is sum_k c_k; it is nonzero in general even when
 G is square.  One table per instance (spheredec.FloorTable) holds every
 point of V_k^N per column, sorted by cost, and a floor is the cost of the
-first point of the product in that order.  RangeBound keeps, per solve, one
-bit mask per range (the values its rows take, per column) and each floor it
-has looked up, so a child recomputes only the columns whose value sets its
-narrowed ranges changed.  The table's one pass holds L |W|^N points (W the
-values F takes), and a solve needing more than FLOOR_TABLE_LIMIT is refused
-with ValueError before the table is built.
+first point of the product in that order, shrunk by a rounding allowance.
+RangeBound keeps, per solve, one bit mask per range (the values its rows
+take, per column) and each floor it has looked up, so a child recomputes
+only the columns whose value sets its narrowed ranges changed.  The table's
+one pass holds L |W|^N points (W the values F takes), and a solve needing
+more than FLOOR_TABLE_LIMIT is refused with ValueError before the table is
+built.
 
 One pass searches below an objective cap: the best objective starts at the
-cap, and a node at column j with cost `acc` of its fixed columns decodes
-column j at radius sqrt(best - acc - rest), `rest` the sum of its floors
-over columns j+1..  A candidate is dropped once acc + dist2 + rest reaches
-best, and a child once acc + dist2 plus its own floors over columns j+1..
-does; those floors' sum past column j+1 is the child's `rest`.  Every prune
-discards only leaves costing at least the best objective, so a pass that
-finds a leaf returns the global optimum, and a pass that finds none proves
-the optimum is at least the cap.  The first cap is L d^2, with d the Babai
-radius of column 0 (spheredec.babai_radius: the residual of the column's
-least-squares point snapped into its candidate sets), clamped below the
-largest finite float; it doubles after each pass that finds nothing.
-
-Decode reuse: column j of Y is fixed per instance, so j and the per-row
-candidate sets determine a column decode up to its radius, and sibling
-branches and later passes ask for the same decode again.  sphere_decode
-returns every x with dist2 <= r^2 (1 + BOUNDARY_SLACK), sorted by
-(dist2, x), so the decode at radius r is the prefix of the decode at any
-R >= r that stops at that bound.  One memo per solve keeps the widest
-decode made so far per (j, candidate sets) and answers a request at a
-radius no wider by bisecting its list with the decoder's own bound
-expression, so the candidates are bitwise those a fresh decode returns.
+cap, and a node at column j with cost `acc` of its fixed columns reads the
+points of column j's table that its ranges hold, in (cost, x) order, until
+acc + cost + rest reaches best, `rest` the sum of its floors over columns
+j+1..: these are the candidates sphere_decode returns at radius
+sqrt(best - acc - rest) over the per-row candidate sets, in its order.  The
+points a mask holds are listed once per solve (RangeBound.reads).  A
+child is dropped once acc + cost plus its own floors over columns j+1..
+reaches best; those floors' sum past column j+1 is the child's `rest`.
+Every prune discards only leaves costing at least the best objective, so a
+pass that finds a leaf returns the global optimum, and a pass that finds
+none proves the optimum is at least the cap.  The first cap is L d^2, with d
+the Babai radius of column 0 (spheredec.babai_radius: the residual of the
+column's least-squares point snapped into its candidate sets), clamped below
+the largest finite float; it doubles after each pass that finds nothing.
 """
 
 from __future__ import annotations
@@ -77,15 +71,7 @@ import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
-from .spheredec import (
-    BOUNDARY_SLACK,
-    CandidateSets,
-    FloorTable,
-    PreparedLattice,
-    SphereCandidate,
-    babai_radius,
-    sphere_decode,
-)
+from .spheredec import CandidateSets, FloorTable, PreparedLattice, babai_radius, sphere_decode
 
 # factor by which the objective cap grows after a pass that finds no leaf
 CAP_GROWTH = 2.0
@@ -93,15 +79,6 @@ CAP_GROWTH = 2.0
 # most points the floor table's one pass may hold (L |W|^N, see RangeBound);
 # a solve whose table would hold more is refused before the table is built
 FLOOR_TABLE_LIMIT = 1 << 18
-
-# (column, per-row candidate values) -> (radius, candidates) of the widest
-# decode of that column and candidate sets made so far in one solve
-DecodeMemo = dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[float, list[SphereCandidate]]]
-
-# a range's column-j values and the sub-range each one leaves: its splits entry
-Split = tuple[Alphabet, dict[int, tuple[int, int]]]
-
-_dist2 = operator.attrgetter("dist2")
 
 
 class InfeasibleError(Exception):
@@ -210,25 +187,23 @@ class SolveStats:
     """Work counters of one solve.
 
     `radius_expansions` counts the doublings of the objective cap after
-    passes that found no leaf.  `backtracks` counts prunes by reason other
-    than the bound and is the sum of two counters: `empty_decodes`, the
-    column decodes that returned no candidate, whether decoded or reused,
-    and `rank_rejects`, the rank prunes at leaves (exact rank below N) and at
+    passes that found no leaf.  `column_reads` counts the nodes that read
+    their candidates for a column off the floor table.  `backtracks` counts
+    prunes by reason other than the bound and is the sum of two counters:
+    `empty_decodes`, the column reads that took no candidate, and
+    `rank_rejects`, the rank prunes at leaves (exact rank below N) and at
     inner nodes (a settled row zero or two on one line).  `bound_prunes`
-    counts column subtrees the bound cut before decoding them: a candidate
-    dropped because acc + dist2 + rest reached the best objective (or the
-    cap), a child whose own floors over the columns after its parent's did,
-    or a column whose remaining budget was already spent.  The floors come
-    from a per-instance table, not from sphere_decode, so `sphere_calls`
-    counts the search's decodes only.  `decode_reuses` counts the column
-    decodes answered from a wider decode of the same column and candidate
-    sets earlier in the solve, so sphere_calls + decode_reuses is the number
-    of column decodes the search asked for.
+    counts the cuts the bound made: a column read the bound stopped after it
+    took a candidate (once per read, however many points it left unread), a
+    child whose own floors over the columns after its parent's reached the
+    best objective (or the cap), or a column whose remaining budget was
+    already spent.  `sphere_calls` counts the sphere_decode calls a solve
+    makes; the search reads the table instead, so it is 0.
     """
 
     dioph_nodes: int = 0
     sphere_calls: int = 0
-    decode_reuses: int = 0
+    column_reads: int = 0
     radius_expansions: int = 0
     backtracks: int = 0
     empty_decodes: int = 0
@@ -254,22 +229,18 @@ class RowTreeBundle:
     feasible[lo:hi], with (lo, hi) = spans[i]; a row is settled when its
     range holds a single row.
 
-    Three per-solve caches are shared the same way by every bundle derived
+    Two per-solve caches are shared the same way by every bundle derived
     from one `initial`, and each entry is filled on first use: `splits` maps
-    (j, lo, hi) to the column-j Alphabet of feasible[lo:hi] and a
-    {value: (lo, hi)} table of its sub-ranges, so each range is bisected once
-    per solve however often the search reaches it; `alphabets` interns those
-    Alphabets by their values; `lines` maps a settled row's index to its line
-    key (see _line).
+    (j, lo, hi) to the {value: (lo, hi)} table of the sub-ranges of
+    feasible[lo:hi] per column-j value, in ascending value order, so each
+    range is bisected once per solve however often the search reaches it;
+    `lines` maps a settled row's index to its line key (see _line).
     """
 
     feasible: tuple[IntVector, ...]
     spans: tuple[tuple[int, int], ...]
     depth: int = 0
-    splits: dict[tuple[int, int, int], Split] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    alphabets: dict[tuple[int, ...], Alphabet] = field(
+    splits: dict[tuple[int, int, int], dict[int, tuple[int, int]]] = field(
         default_factory=dict, repr=False, compare=False
     )
     lines: dict[int, IntVector] = field(default_factory=dict, repr=False, compare=False)
@@ -297,7 +268,7 @@ def _check_column(bundle: RowTreeBundle, j: int) -> None:
         )
 
 
-def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> Split:
+def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> dict[int, tuple[int, int]]:
     """Make and store the splits entry of key (j, lo, hi): range (lo, hi) at column j.
 
     The rows of a range agree on columns 0..j-1, so their j-th entries are
@@ -313,26 +284,21 @@ def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> Split:
         end = bisect_right(rows, v, lo, hi, key=column)
         table[v] = (lo, end)
         lo = end
-    values = tuple(table)
-    alphabet = bundle.alphabets.get(values)
-    if alphabet is None:
-        alphabet = bundle.alphabets[values] = Alphabet(values)
-    bundle.splits[key] = entry = (alphabet, table)
-    return entry
+    bundle.splits[key] = table
+    return table
 
 
 def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
     """Candidate values of column j per row: the j-th entries of its range.
 
-    Read off the bundle's per-solve splits; rows with the same values share
-    one Alphabet.
+    Read off the keys of the bundle's per-solve splits.
     """
     _check_column(bundle, j)
     splits = bundle.splits
     sets = []
     for lo, hi in bundle.spans:
         key = (j, lo, hi)
-        sets.append((splits.get(key) or _split(bundle, key))[0])
+        sets.append(Alphabet(tuple(splits.get(key) or _split(bundle, key))))
     return CandidateSets(tuple(sets))
 
 
@@ -340,7 +306,7 @@ def prune_with_column(bundle: RowTreeBundle, j: int, x_col: IntVector) -> RowTre
     """Narrow each row's range to the rows whose j-th entry equals x_col[i].
 
     Raises ValueError if a value leaves a row no feasible row, settled or
-    not; the decoder only proposes values drawn from the ranges.
+    not; the search only proposes values drawn from the ranges.
     """
     _check_column(bundle, j)
     if len(x_col) != bundle.n_rows:
@@ -349,15 +315,13 @@ def prune_with_column(bundle: RowTreeBundle, j: int, x_col: IntVector) -> RowTre
     spans = []
     for i, ((lo, hi), v) in enumerate(zip(bundle.spans, x_col)):
         key = (j, lo, hi)
-        span = (splits.get(key) or _split(bundle, key))[1].get(v)
+        span = (splits.get(key) or _split(bundle, key)).get(v)
         if span is None:
             raise ValueError(
                 f"value {v} at column {j} eliminates every candidate for row {i}"
             )
         spans.append(span)
-    return RowTreeBundle(
-        bundle.feasible, tuple(spans), j + 1, splits, bundle.alphabets, bundle.lines
-    )
+    return RowTreeBundle(bundle.feasible, tuple(spans), j + 1, splits, bundle.lines)
 
 
 def _line(row: IntVector) -> IntVector:
@@ -441,9 +405,11 @@ class RangeBound:
     row takes values[t] at column k (the row's own bits sit in field i = 0);
     a node's mask ORs its N span masks, the i-th shifted into field i, so
     the N |S| bits of column k are the FloorTable mask of that column.  Span
-    masks and floors are kept for the rest of the solve: `span_masks` maps a
-    range to its mask, and `memo[k]` a column-k mask to its floor.  `root`
-    holds the mask and floors of the root, `bundle0`.
+    masks, floors and candidates are kept for the rest of the solve:
+    `span_masks` maps a range to its mask, `memo[k]` a column-k mask to its
+    floor, and `reads[k]` a column-k mask that the search has read to the
+    (cost, x) of the points it holds (FloorTable.held).  `root` holds the
+    mask and floors of the root, `bundle0`.
     """
 
     def __init__(self, instance: ProblemInstance, F: np.ndarray, bundle0: RowTreeBundle) -> None:
@@ -453,11 +419,13 @@ class RangeBound:
         hit = rows[:, :, None] == np.array(values, dtype=F.dtype)
         allowed = hit.any(axis=0)
         # the table's one pass holds L |W|^N points, W the values F takes
-        size = len(allowed) * int(allowed.any(axis=0).sum()) ** n
+        n_cols, n_values = len(allowed), int(allowed.any(axis=0).sum())
+        size = n_cols * n_values**n
         if size > FLOOR_TABLE_LIMIT:
             raise ValueError(
-                f"the column floor table needs {size} points for N = {n} rows over "
-                f"|S| = {width} values (at most {FLOOR_TABLE_LIMIT})"
+                f"the column floor table needs L |W|^N = {size} points for L = {n_cols} "
+                f"columns, |W| = {n_values} values taken by the feasible rows and N = {n} "
+                f"rows (at most {FLOOR_TABLE_LIMIT})"
             )
         self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
         bits = np.zeros(hit.shape[:2] + (n * width,), dtype=bool)
@@ -472,6 +440,9 @@ class RangeBound:
         self.field = n * width
         self.full = (1 << self.field) - 1
         self.memo: list[dict[int, float]] = [{} for _ in range(instance.n_cols)]
+        self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [
+            {} for _ in range(instance.n_cols)
+        ]
         # every root range is all of F, whose mask holds every point of V_k^N
         whole = functools.reduce(operator.or_, self.row_masks)
         self.span_masks: dict[tuple[int, int], int] = {(0, len(rows)): whole}
@@ -514,46 +485,34 @@ class RangeBound:
         return mask, floors
 
 
-def _cut_decode(candidates: list[SphereCandidate], radius: float) -> list[SphereCandidate]:
-    """sphere_decode's result at `radius`, from its result for the same y, G
-    and sets at any radius at least as wide.
-
-    The wider result is sorted by dist2 and holds every point within the
-    decoder's inclusion bound, so the narrower one is its prefix up to that
-    bound, computed here by the expression sphere_decode uses, bit for bit.
-    """
-    include = radius * radius * (1.0 + BOUNDARY_SLACK)
-    return candidates[: bisect_right(candidates, include, key=_dist2)]
-
-
 def _search(
     instance: ProblemInstance,
     bundle0: RowTreeBundle,
     cap: float,
     bound: RangeBound,
-    memo: DecodeMemo,
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
     """Best leaf with objective below `cap`, or None if every leaf reaches it.
 
     The running best objective starts at the cap.  A node at column j holds
-    the floors of its own ranges (see RangeBound) and `rest`, their sum over
-    columns j+1..  Column j is decoded at radius sqrt(best - acc - rest), the
-    budget the best objective leaves it, and a candidate is dropped once
-    acc + dist2 + rest reaches the best objective; a child is dropped once
-    acc + dist2 plus its own floors over columns j+1.. does.  No completion
-    of a node fits a column better than its floor there, so each prune
-    discards only leaves costing at least the best objective, and a returned
-    leaf is the minimum over all leaves below the cap.  `memo` holds the
-    widest decode per (column, candidate sets) made so far in the solve; a
-    decode no wider is cut from it (see the module docstring).  A child whose
-    settled rows are dependent is dropped before recursing, and so is a leaf
-    of rank below N: neither can hold the optimum.
+    the mask and floors of its own ranges (see RangeBound) and `rest`, their
+    sum over columns j+1..  Its candidates are the points of the floor
+    table's column j that the column-j field of its mask holds, in the
+    table's (cost, x) order, listed once per solve per mask (RangeBound.reads),
+    and the read stops at the first one where acc + cost + rest reaches the
+    best objective: no later one costs less.  A child is dropped once
+    acc + cost plus its own floors over columns j+1.. reaches it.  No completion of a node fits a column better
+    than its floor there, so each prune discards only leaves costing at least
+    the best objective, and a returned leaf is the minimum over all leaves
+    below the cap.  A child whose settled rows are dependent is dropped
+    before recursing, and so is a leaf of rank below N: neither can hold the
+    optimum.
     """
-    Y, G, lattice = instance.Y, instance.G, instance.lattice
+    Y, G = instance.Y, instance.G
     feasible = bundle0.feasible
     n_cols = instance.n_cols
-    cols = [Y[:, j] for j in range(n_cols)]
+    table, reads = bound.table, bound.reads
+    field, full = bound.field, bound.full
     best_obj = cap
     best_X: IntMatrix | None = None
 
@@ -572,32 +531,24 @@ def _search(
                 best_obj = obj
                 best_X = X
             return
-        budget = best_obj - acc - rest
-        if budget <= 0.0:
+        if best_obj - acc - rest <= 0.0:
             stats.bound_prunes += 1
             return
-        sets = derive_column_sets(bundle, j)
-        radius = math.sqrt(budget)
-        key = (j, tuple(a.values for a in sets.sets))
-        known = memo.get(key)
-        if known is not None and radius <= known[0]:
-            candidates = _cut_decode(known[1], radius)
-            stats.decode_reuses += 1
-        else:
-            candidates = sphere_decode(cols[j], lattice, radius, sets)
-            memo[key] = (radius, candidates)
-            stats.sphere_calls += 1
-        if not candidates:
-            stats.backtracks += 1
-            stats.empty_decodes += 1
-            return
+        stats.column_reads += 1
+        key = (mask >> (j * field)) & full
+        candidates = reads[j].get(key)
+        if candidates is None:
+            candidates = reads[j][key] = table.held(j, key)
         last = j + 1 == n_cols
-        for k, cand in enumerate(candidates):
-            cost = acc + cand.dist2
+        taken = False
+        for dist2, x in candidates:
+            cost = acc + dist2
             if cost + rest >= best_obj:
-                stats.bound_prunes += len(candidates) - k
+                if taken:
+                    stats.bound_prunes += 1
                 break
-            child = prune_with_column(bundle, j, cand.x)
+            taken = True
+            child = prune_with_column(bundle, j, x)
             if last:
                 cmask, cfloors, crest = 0, floors, 0.0
             else:
@@ -611,6 +562,9 @@ def _search(
                 stats.rank_rejects += 1
                 continue
             recurse(j + 1, child, cost, cmask, cfloors, crest)
+        if not taken:
+            stats.backtracks += 1
+            stats.empty_decodes += 1
 
     mask, floors = bound.root
     recurse(0, bundle0, 0.0, mask, floors, sum(floors[1:]))
@@ -646,12 +600,11 @@ def solve(instance: ProblemInstance) -> SolveResult:
     # d is at least 1e-9, but its slack can carry L d^2 past the largest float
     # when ||Y - G X||^2 sits at the float limit
     cap = min(instance.n_cols * d * d, sys.float_info.max)
-    memo: DecodeMemo = {}
-    best = _search(instance, bundle0, cap, bound, memo, stats)
+    best = _search(instance, bundle0, cap, bound, stats)
     while best is None:
         cap *= CAP_GROWTH
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, cap, bound, memo, stats)
+        best = _search(instance, bundle0, cap, bound, stats)
     obj, X = best
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0

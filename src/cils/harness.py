@@ -276,7 +276,7 @@ def run_bench(specs: list[GenSpec]) -> list[dict]:
             print(
                 f"[bench] {spec.n_rows}x{spec.n_cols} trial {t + 1}/{spec.trials}: "
                 f"objective={result.objective:.6g} dioph_nodes={result.stats.dioph_nodes} "
-                f"sphere_calls={result.stats.sphere_calls} recovered={hit}"
+                f"column_reads={result.stats.column_reads} recovered={hit}"
             )
             records.append(
                 {

@@ -1,11 +1,10 @@
 """Sphere decoding over finite per-coordinate integer alphabets.
 
-Finds every x with x_i in a given candidate set per coordinate and
-||y - G x|| <= d, by QR-reducing G and enumerating coordinates last-to-first
-inside the shrinking interval each partial residual allows.  The QR factors
-live in a PreparedLattice, built and validated once per G; a caller that
-decodes many vectors against one G (the assembler decodes every column of Y,
-each at the radius its remaining budget allows) passes the prepared lattice,
+sphere_decode finds every x with x_i in a given candidate set per coordinate
+and ||y - G x|| <= d, by QR-reducing G and enumerating coordinates
+last-to-first inside the shrinking interval each partial residual allows.
+The QR factors live in a PreparedLattice, built and validated once per G; a
+caller that decodes many vectors against one G passes the prepared lattice,
 and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
 inside when its squared distance is at most d^2 * (1 + 1e-9); internal
 pruning runs at radius d * (1 + 1e-9) + tau, with tau proportional to
@@ -13,17 +12,20 @@ eps * ||y|| (see ROUNDING_SLACK), so no boundary point is lost to accumulation
 error at any scale of y, and reported distances are recomputed directly from
 y and G.
 
-FloorTable is the floor kernel of the assembler's branch-and-bound bound:
-per column of Y it lists every point of a per-column value product sorted by
-its distance, so the least distance over any per-coordinate sub-product is
-the first point of that sub-product in the list.  Its floors are shrunk by
-the decoder's rounding allowance, so none exceeds a distance the decoder
-reports for the same point.
+FloorTable is what the assembler's search reads instead of decoding: per
+column of Y it lists every point of a per-column value product sorted by its
+distance, in sphere_decode's (dist2, x) order.  The points of any
+per-coordinate sub-product within radius d are that sub-product's points at
+the head of the list, so the search reads a column's candidates off it, and
+the least distance over the sub-product, the floor of the branch-and-bound
+bound, is its first point's.  Floors are shrunk by the decoder's rounding
+allowance, so none exceeds a distance the decoder reports for the same point.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -213,7 +215,7 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
 
 
 class FloorTable:
-    """Per column k of Y, every x in V_k^N with its floor, sorted by cost.
+    """Per column k of Y, every x in V_k^N with its cost and floor, sorted by cost.
 
     `values` is the sorted alphabet and `allowed` an L x |values| boolean
     mask; V_k holds the values that row k of the mask allows, and every row
@@ -221,16 +223,24 @@ class FloorTable:
     each coordinate i, where x_i = values[t]: one field of |values| bits per
     coordinate.  A mask in the same layout stands for the product of the
     values it sets per coordinate, and holds a point exactly when
-    code & mask == code.  floor(k, mask) is the least cost over the points of
-    V_k^N that the mask holds: the cost of the first one in sorted order.
+    code & mask == code.  held(k, mask) lists the points of V_k^N that the
+    mask holds, in sorted order, and floor(k, mask) is the least floor over
+    them: the floor of the first one.
 
     The costs ||y_k - G x||^2 are computed directly from y and G, in one pass
     over every column and every x in W^N, W the values some column allows,
-    so the pass holds L |W|^N points.  A point's floor is its cost shrunk by
-    the decoder's rounding allowance tau (see ROUNDING_SLACK) and by
-    BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point, at
-    any scale of y.  `floors[k]` and `codes[k]` list column k's points in
-    sorted order.
+    so the pass holds L |W|^N points.  Each column is sorted by cost with a
+    stable sort over the points in lexicographic order, so its points come in
+    sphere_decode's (dist2, x) order, and the points a mask holds with cost
+    below b are, up to the decoder's boundary slack, the candidates a decode
+    at radius sqrt(b) over that product returns: the table is a
+    Schnorr-Euchner enumeration of the whole sphere.
+
+    A point's floor is its cost shrunk by the decoder's rounding allowance
+    tau (see ROUNDING_SLACK) and by BOUND_SLACK, so it never exceeds
+    sphere_decode's dist2 for that point, at any scale of y.  `costs[k]`,
+    `floors[k]`, `codes[k]` and `points[k]` list column k's points in sorted
+    order; the point tuples, drawn from `values`, are shared by every column.
     """
 
     def __init__(self, lattice: PreparedLattice, Y, values, allowed) -> None:
@@ -256,22 +266,35 @@ class FloorTable:
         digits = t[np.indices((len(t),) * n).reshape(n, -1)]
         r = Y[:, :, None] - (Gm @ vals[digits])[:, None, :]
         cost = np.einsum("ikp,ikp->kp", r, r)
-        # points outside V_k^N sort last, with an infinite floor
+        # points outside V_k^N sort last, with an infinite cost
         inside = allowed[:, digits].all(axis=1)
         cost[~inside] = np.inf
+        order = np.argsort(cost, axis=1, kind="stable")
+        cost = np.take_along_axis(cost, order, axis=1)
         tau = ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))
         floor = np.maximum(np.sqrt(cost) - tau[:, None], 0.0) ** 2 * (1.0 - BOUND_SLACK)
-        order = np.argsort(floor, axis=1)
-        floor.sort(axis=1)
-        # Python ints, so codes wider than 64 bits stay exact
+        # Python ints, so codes wider than 64 bits stay exact; both lists run
+        # over W^N in the order of `digits`
+        picked = t.tolist()
         codes = [0]
         for i in range(n):
-            bits = [1 << (i * width + v) for v in t.tolist()]
+            bits = [1 << (i * width + v) for v in picked]
             codes = [c | b for c in codes for b in bits]
+        points = list(itertools.product([values[v] for v in picked], repeat=n))
+        # only the first counts[k] points of column k lie in V_k^N
         counts = inside.sum(axis=1).tolist()
-        self.floors = [f[:c] for f, c in zip(floor.tolist(), counts)]
-        self.codes = [
-            a[:c] for a, c in zip(np.array(codes, dtype=object)[order].tolist(), counts)
+        order = [o[:c].tolist() for o, c in zip(order, counts)]
+        self.costs = [a[:c].tolist() for a, c in zip(cost, counts)]
+        self.floors = [f[:c].tolist() for f, c in zip(floor, counts)]
+        self.codes = [[codes[p] for p in o] for o in order]
+        self.points = [[points[p] for p in o] for o in order]
+
+    def held(self, k: int, mask: int) -> list[tuple[float, IntVector]]:
+        """(cost, x) of the points of column k that the mask holds, in sorted order."""
+        return [
+            (cost, x)
+            for code, cost, x in zip(self.codes[k], self.costs[k], self.points[k])
+            if code & mask == code
         ]
 
     def floor(self, k: int, mask: int) -> float:

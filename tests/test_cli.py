@@ -92,7 +92,7 @@ class TestSolveCommand:
         for field in (
             "dioph_nodes",
             "sphere_calls",
-            "decode_reuses",
+            "column_reads",
             "radius_expansions",
             "backtracks",
             "empty_decodes",
@@ -310,8 +310,8 @@ class TestBenchCommand:
         records = json.loads(out.read_text(encoding="utf-8"))
         assert [r["cols"] for r in records] == [5, 6]
         assert [r["seed"] for r in records] == [0, 1]
-        assert all(r["sphere_calls"] >= 1 for r in records)
-        assert "sphere_calls=" in capsys.readouterr().out
+        assert all(r["column_reads"] >= 1 for r in records)
+        assert "column_reads=" in capsys.readouterr().out
 
     def test_malformed_specfile_exits_1(self, tmp_path, capsys):
         specfile = self.write_specs(tmp_path, {"rows": 2})

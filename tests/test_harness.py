@@ -175,9 +175,9 @@ class TestRunBench:
         assert set(rec) == RECORD_KEYS
         assert (rec["rows"], rec["cols"], rec["S"], rec["seed"]) == (2, 5, [-1, 0, 1], 42)
         assert (rec["trial"], rec["trial_seed"]) == (0, trial_seeds(spec)[0])
-        assert rec["sphere_calls"] >= 1
-        # the per-trial line is echoed with the decode count
-        assert "sphere_calls=" in capsys.readouterr().out
+        assert rec["column_reads"] >= 1
+        # the per-trial line is echoed with the column read count
+        assert "column_reads=" in capsys.readouterr().out
 
     def test_one_record_per_trial_in_order(self):
         specs = [small_spec(trials=2), small_spec(n_cols=6, trials=3)]

@@ -3,7 +3,8 @@
 The independent reference is oracle_sphere (full product scan, no QR); the
 worked example pins the decoded first and second columns at radius 0.5.  A
 prepared lattice and the raw matrix must decode identically.  The floor
-table is checked against an itertools.product scan.
+table is checked against an itertools.product scan, and the points it holds
+for a set of candidate values against the decoder.
 """
 
 import itertools
@@ -26,9 +27,9 @@ from cils import (
     solve_diophantine_sparse,
     sphere_decode,
 )
-from cils.assembler import RangeBound, RowTreeBundle, _cut_decode
+from cils.assembler import RangeBound, RowTreeBundle
 from cils.dioph import tree_leaves
-from cils.spheredec import BOUNDARY_SLACK, FloorTable
+from cils.spheredec import BOUNDARY_SLACK, FloorTable, SphereCandidate
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -214,7 +215,6 @@ class TestSphereDecode:
         include = r * r * (1.0 + BOUNDARY_SLACK)
         narrow = sphere_decode(y, lattice, r, sets)
         assert narrow == [c for c in wide if c.dist2 <= include]
-        assert _cut_decode(wide, r) == narrow
 
     def test_permutation_consistency(self):
         rng = np.random.default_rng(51)
@@ -482,6 +482,59 @@ class TestColumnFloors:
             for sets in ([vk, vk], [vk[-2:], vk[:1]], [vk[:3], vk[-1:]]):
                 got = table.floor(k, row_mask(values, sets))
                 assert_floor_matches(got, brute_floor(lattice.G, Y[:, k], sets))
+
+    @given(st.data())
+    def test_held_points_below_a_bound_are_the_decode(self, data):
+        # the search reads a node's candidates off the table: the points its
+        # per-row value sets hold, in table order, while their cost stays
+        # below a bound b; sphere_decode at radius sqrt(b) over the same sets returns
+        # the same points in the same order.  b lies midway between two
+        # distinct held costs, or past the last, so no point sits on the
+        # decoder's boundary
+        n = data.draw(st.integers(1, 3), label="N")
+        m = n + data.draw(st.integers(0, 2), label="M - N")
+        n_cols = data.draw(st.integers(1, 3), label="L")
+        values = sorted(data.draw(st.sets(st.integers(-6, 6), min_size=1, max_size=5)))
+        row = st.lists(st.booleans(), min_size=len(values), max_size=len(values))
+        allowed = np.array(
+            data.draw(st.lists(row.filter(any), min_size=n_cols, max_size=n_cols))
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        sigma = data.draw(st.sampled_from([0.0, 0.1, 1.0, 3.0]), label="sigma")
+        G = rng.standard_normal((m, n))
+        try:
+            lattice = PreparedLattice.from_matrix(G)
+        except np.linalg.LinAlgError:
+            assume(False)
+        Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
+        table = FloorTable(lattice, Y, values, allowed)
+        k = data.draw(st.integers(0, n_cols - 1), label="k")
+        vk = [v for v, ok in zip(values, allowed[k]) if ok]
+        value_sets = [
+            sorted(data.draw(st.lists(st.sampled_from(vk), min_size=1, unique=True), label="set"))
+            for _ in range(n)
+        ]
+        held = table.held(k, row_mask(values, value_sets))
+        assert len(held) == math.prod(map(len, value_sets))
+        levels = sorted({cost for cost, _ in held})
+        i = data.draw(st.integers(0, len(levels) - 1), label="level")
+        b = (levels[i] + levels[i + 1]) / 2 if i + 1 < len(levels) else 2.0 * levels[i] + 1.0
+        sets = CandidateSets(tuple(Alphabet(tuple(vals)) for vals in value_sets))
+        got = sphere_decode(Y[:, k], lattice, math.sqrt(b), sets)
+        assert_same_candidates(got, [SphereCandidate(x, cost) for cost, x in held if cost < b])
+
+    def test_tied_points_keep_the_decoder_order(self):
+        # y = 0: x and -x cost exactly the same, and the table, like the
+        # decoder, orders tied points by x
+        rng = np.random.default_rng(3)
+        values = (-2, -1, 0, 1, 2)
+        for n in (1, 2, 3):
+            lattice = PreparedLattice.from_matrix(rng.standard_normal((n + 1, n)))
+            table = FloorTable(lattice, np.zeros((n + 1, 1)), values, np.ones((1, 5), dtype=bool))
+            assert table.costs[0][1] == table.costs[0][2]
+            want = sphere_decode(np.zeros(n + 1), lattice, math.sqrt(table.costs[0][-1]) + 1.0,
+                                 CandidateSets.uniform(Alphabet(values), n))
+            assert table.points[0] == [c.x for c in want]
 
     def test_bad_inputs_rejected(self):
         lattice = PreparedLattice.from_matrix(np.eye(2))
