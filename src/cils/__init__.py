@@ -12,12 +12,9 @@ and benchmarks in harness; the command line in cli.
 from .assembler import (
     InfeasibleError,
     ProblemInstance,
-    RowTreeBundle,
     SolveResult,
     SolveStats,
-    derive_column_sets,
     objective,
-    prune_with_column,
     solve,
     solve_ils_eq,
     verify_solution,
@@ -57,12 +54,10 @@ __all__ = [
     "OracleBudget",
     "PreparedLattice",
     "ProblemInstance",
-    "RowTreeBundle",
     "SolveResult",
     "SolveStats",
     "SphereCandidate",
     "babai_radius",
-    "derive_column_sets",
     "generate_instance",
     "hermite_normal_form",
     "int_det",
@@ -72,7 +67,6 @@ __all__ = [
     "oracle_F",
     "oracle_solve",
     "oracle_sphere",
-    "prune_with_column",
     "qr_positive",
     "run_bench",
     "solve",

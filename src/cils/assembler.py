@@ -8,13 +8,15 @@ The solve runs in two stages.  Stage one enumerates the feasible row set F
 once (see dioph).  Stage two sorts F once and walks the columns left to
 right.  With columns 0..j-1 fixed, the rows of F that agree with an output
 row's choices so far form one contiguous range of the sorted F, so a search
-node is one (lo, hi) index pair per output row.  For each column the search
-reads its candidate column vectors off the per-instance floor table (see
-below): the points x of that column's table whose entry x_i is a value that
-output row i's range takes there, in order of their distance to that column
-of Y.  It recurses on each after narrowing the ranges to the rows that take
-its values.  Each range is split into its per-value sub-ranges once per
-solve, the first time the search narrows it (RowTreeBundle.splits).
+node is one (lo, hi) index pair per output row, plus the bit mask of the
+values those ranges take (see below).  For each column the search reads its
+candidate column vectors off the per-instance floor table (see below): the
+points x of that column's table whose entry x_i is a value that output row
+i's range takes there, in order of their distance to that column of Y.  It
+recurses on each after narrowing the ranges to the rows that take its
+values (prune_with_column).  Each range is split into its per-value
+sub-ranges, each with its mask, once per solve, the first time the search
+narrows it (RangeBound.splits).
 
 Rank: a row is settled once its range holds a single row, and it keeps that
 row in every leaf below.  A branch is cut as soon as a settled row is zero
@@ -33,12 +35,12 @@ coordinate k, and the bound is sum_k c_k; it is nonzero in general even when
 G is square.  One table per instance (spheredec.FloorTable) holds every
 point of V_k^N per column, sorted by cost, and a floor is the cost of the
 first point of the product in that order, shrunk by a rounding allowance.
-RangeBound keeps, per solve, one bit mask per range (the values its rows
-take, per column) and each floor it has looked up, so a child recomputes
-only the columns whose value sets its narrowed ranges changed.  The table's
-one pass holds L |W|^N points (W the values F takes), and a solve needing
-more than FLOOR_TABLE_LIMIT is refused with ValueError before the table is
-built.
+A node's mask ORs the bit masks of its ranges, one bit per (column, row,
+value) taken, and RangeBound keeps each floor it has looked up, so a child
+recomputes only the columns whose value sets its narrowed ranges changed.
+The table's one pass holds L |W|^N points (W the values F takes), and a
+solve needing more than FLOOR_TABLE_LIMIT is refused with ValueError before
+the table is built.
 
 One pass searches below an objective cap: the best objective starts at the
 cap, and a node at column j with cost `acc` of its fixed columns reads the
@@ -219,56 +221,107 @@ class SolveResult:
     stats: SolveStats
 
 
-@dataclass(frozen=True)
-class RowTreeBundle:
-    """Per output row, the feasible rows still consistent with all pruning.
+# one (lo, hi) range into RangeBound.rows per output row
+Spans = tuple[tuple[int, int], ...]
 
-    `feasible` holds the feasible rows sorted lexicographically and is shared
-    by every node of the search.  Once the columns 0..depth-1 are fixed, the
-    rows that agree with output row i on them form one contiguous range
-    feasible[lo:hi], with (lo, hi) = spans[i]; a row is settled when its
-    range holds a single row.
 
-    Two per-solve caches are shared the same way by every bundle derived
-    from one `initial`, and each entry is filled on first use: `splits` maps
-    (j, lo, hi) to the {value: (lo, hi)} table of the sub-ranges of
-    feasible[lo:hi] per column-j value, in ascending value order, so each
-    range is bisected once per solve however often the search reaches it;
-    `lines` maps a settled row's index to its line key (see _line).
+class RangeBound:
+    """The row ranges of one solve and the range-conditioned bound of its nodes.
+
+    `rows` holds the feasible rows sorted lexicographically.  Once columns
+    0..j-1 are fixed, the rows that agree with output row i on them form one
+    contiguous range rows[lo:hi], so a search node is its ranges, `spans`,
+    one (lo, hi) per output row, with `root` holding the spans, mask and
+    floors of the root, where every range is all of F.  A row is settled
+    when its range holds a single row.
+
+    Row i of a node can take at column k only the column-k values of its
+    range, so no completion of the node fits column k better than the floor
+    of the per-row product of those values (FloorTable), and the floors of
+    columns j.. sum to a bound on their cost.  `row_masks` holds one mask per
+    row, with bit (k N + i) |S| + t set when the row takes values[t] at
+    column k, in field i = 0; a range's mask ORs the masks of its rows, and a
+    node's mask ORs its N range masks, the i-th shifted into field i, so the
+    N |S| bits of column k are the FloorTable mask of that column.
+
+    Every cache is filled on first use and kept for the rest of the solve:
+    `splits` maps (j, lo, hi) to the {value: ((lo', hi'), mask')} table of
+    the sub-ranges of rows[lo:hi] per column-j value, in ascending value
+    order, each with its range mask, so each range is bisected once per
+    solve however often the search reaches it; `lines` maps a settled row's
+    index to its line key (see _line); `memo[k]` maps a column-k mask to its
+    floor; and `reads[k]` maps a column-k mask that the search has read to
+    the (cost, x) of the points it holds (FloorTable.held).
     """
 
-    feasible: tuple[IntVector, ...]
-    spans: tuple[tuple[int, int], ...]
-    depth: int = 0
-    splits: dict[tuple[int, int, int], dict[int, tuple[int, int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    lines: dict[int, IntVector] = field(default_factory=dict, repr=False, compare=False)
-
-    @classmethod
-    def initial(cls, feasible: list[IntVector], n_rows: int) -> "RowTreeBundle":
-        if n_rows < 1:
-            raise ValueError("need at least one row")
-        rows = tuple(sorted(feasible))
-        if not rows:
-            raise ValueError("feasible set is empty")
-        return cls(rows, ((0, len(rows)),) * n_rows)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.spans)
-
-
-def _check_column(bundle: RowTreeBundle, j: int) -> None:
-    """Raise ValueError unless j is the next column to fix."""
-    if j != bundle.depth or j >= len(bundle.feasible[0]):
-        raise ValueError(
-            f"column {j} is not the next column to fix: columns are fixed left to "
-            f"right, {bundle.depth} of {len(bundle.feasible[0])} so far"
+    def __init__(self, instance: ProblemInstance, F: np.ndarray, feasible: list[IntVector]) -> None:
+        """`feasible` is tree_leaves(F): the rows of F as sorted tuples."""
+        values = instance.alphabet.values
+        n, width = instance.n_rows, len(values)
+        self.rows = tuple(feasible)
+        rows = np.array(self.rows, dtype=F.dtype)
+        hit = rows[:, :, None] == np.array(values, dtype=F.dtype)
+        allowed = hit.any(axis=0)
+        # the table's one pass holds L |W|^N points, W the values F takes
+        n_cols, n_values = len(allowed), int(allowed.any(axis=0).sum())
+        size = n_cols * n_values**n
+        if size > FLOOR_TABLE_LIMIT:
+            raise ValueError(
+                f"the column floor table needs L |W|^N = {size} points for L = {n_cols} "
+                f"columns, |W| = {n_values} values taken by the feasible rows and N = {n} "
+                f"rows (at most {FLOOR_TABLE_LIMIT})"
+            )
+        self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
+        bits = np.zeros(hit.shape[:2] + (n * width,), dtype=bool)
+        bits[:, :, :width] = hit
+        packed = np.packbits(bits.reshape(len(rows), -1), axis=1, bitorder="little")
+        step = packed.shape[1]
+        data = packed.tobytes()
+        self.row_masks = [
+            int.from_bytes(data[o : o + step], "little") for o in range(0, len(data), step)
+        ]
+        self.shifts = range(0, n * width, width)
+        self.field = n * width
+        self.full = (1 << self.field) - 1
+        self.splits: dict[tuple[int, int, int], dict[int, tuple[tuple[int, int], int]]] = {}
+        self.lines: dict[int, IntVector] = {}
+        self.memo: list[dict[int, float]] = [{} for _ in range(instance.n_cols)]
+        self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [
+            {} for _ in range(instance.n_cols)
+        ]
+        # every root range is all of F, whose mask holds every point of V_k^N
+        whole = functools.reduce(operator.or_, self.row_masks)
+        self.root = (
+            ((0, len(rows)),) * n,
+            sum(whole << shift for shift in self.shifts),
+            [floors[0] for floors in self.table.floors],
         )
 
+    def child(self, j: int, before: int, mask: int, floors: list[float]) -> list[float]:
+        """Per-column floors of a node at depth j + 1 with this mask.
 
-def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> dict[int, tuple[int, int]]:
+        `before` and `floors` are its parent's mask and floors; only the
+        columns k > j whose mask field differs from the parent's are looked
+        up again, so j = -1 with before = 0 looks up every column.
+        """
+        field = self.field
+        changed = (before ^ mask) >> ((j + 1) * field)
+        if changed:
+            floors = floors.copy()
+            full, memo, table = self.full, self.memo, self.table
+            while changed:
+                d = (changed.bit_length() - 1) // field
+                k = j + 1 + d
+                key = (mask >> (k * field)) & full
+                f = memo[k].get(key)
+                if f is None:
+                    f = memo[k][key] = table.floor(k, key)
+                floors[k] = f
+                changed &= (1 << (d * field)) - 1
+        return floors
+
+
+def _split(bound: RangeBound, key: tuple[int, int, int]) -> dict[int, tuple[tuple[int, int], int]]:
     """Make and store the splits entry of key (j, lo, hi): range (lo, hi) at column j.
 
     The rows of a range agree on columns 0..j-1, so their j-th entries are
@@ -276,52 +329,57 @@ def _split(bundle: RowTreeBundle, key: tuple[int, int, int]) -> dict[int, tuple[
     last.
     """
     j, lo, hi = key
-    rows = bundle.feasible
+    rows, row_masks = bound.rows, bound.row_masks
     column = operator.itemgetter(j)
     table = {}
     while lo < hi:
         v = rows[lo][j]
         end = bisect_right(rows, v, lo, hi, key=column)
-        table[v] = (lo, end)
+        table[v] = ((lo, end), functools.reduce(operator.or_, row_masks[lo:end]))
         lo = end
-    bundle.splits[key] = table
+    bound.splits[key] = table
     return table
 
 
-def derive_column_sets(bundle: RowTreeBundle, j: int) -> CandidateSets:
+def derive_column_sets(bound: RangeBound, spans: Spans, j: int) -> CandidateSets:
     """Candidate values of column j per row: the j-th entries of its range.
 
-    Read off the keys of the bundle's per-solve splits.
+    Read off the keys of the bound's per-solve splits.
     """
-    _check_column(bundle, j)
-    splits = bundle.splits
+    splits = bound.splits
     sets = []
-    for lo, hi in bundle.spans:
+    for lo, hi in spans:
         key = (j, lo, hi)
-        sets.append(Alphabet(tuple(splits.get(key) or _split(bundle, key))))
+        sets.append(Alphabet(tuple(splits.get(key) or _split(bound, key))))
     return CandidateSets(tuple(sets))
 
 
-def prune_with_column(bundle: RowTreeBundle, j: int, x_col: IntVector) -> RowTreeBundle:
+def prune_with_column(
+    bound: RangeBound, spans: Spans, j: int, x_col: IntVector
+) -> tuple[Spans, int]:
     """Narrow each row's range to the rows whose j-th entry equals x_col[i].
 
-    Raises ValueError if a value leaves a row no feasible row, settled or
-    not; the search only proposes values drawn from the ranges.
+    Returns the narrowed ranges and their node mask (see RangeBound), both
+    read off the per-solve splits.  Raises ValueError if a value leaves a
+    row no feasible row, settled or not; the search only proposes values
+    drawn from the ranges.
     """
-    _check_column(bundle, j)
-    if len(x_col) != bundle.n_rows:
-        raise ValueError(f"column has {len(x_col)} entries for {bundle.n_rows} rows")
-    splits = bundle.splits
-    spans = []
-    for i, ((lo, hi), v) in enumerate(zip(bundle.spans, x_col)):
+    if len(x_col) != len(spans):
+        raise ValueError(f"column has {len(x_col)} entries for {len(spans)} rows")
+    splits = bound.splits
+    narrowed = []
+    mask = 0
+    for i, ((lo, hi), v, shift) in enumerate(zip(spans, x_col, bound.shifts)):
         key = (j, lo, hi)
-        span = (splits.get(key) or _split(bundle, key)).get(v)
-        if span is None:
+        hit = (splits.get(key) or _split(bound, key)).get(v)
+        if hit is None:
             raise ValueError(
                 f"value {v} at column {j} eliminates every candidate for row {i}"
             )
-        spans.append(span)
-    return RowTreeBundle(bundle.feasible, tuple(spans), j + 1, splits, bundle.lines)
+        span, m = hit
+        narrowed.append(span)
+        mask |= m << shift
+    return tuple(narrowed), mask
 
 
 def _line(row: IntVector) -> IntVector:
@@ -339,20 +397,20 @@ def _line(row: IntVector) -> IntVector:
     return tuple(v // g for v in row)
 
 
-def _settled_rows_dependent(bundle: RowTreeBundle) -> bool:
+def _settled_rows_dependent(bound: RangeBound, spans: Spans) -> bool:
     """True when a settled row is zero or two settled rows share a line.
 
-    Every completion of the bundle keeps its settled rows, so then no leaf
-    below it reaches rank N.  A settled row's line key is computed once per
-    solve, when the search first settles it.
+    Every completion of the ranges keeps their settled rows, so then no leaf
+    below them reaches rank N.  A settled row's line key is computed once
+    per solve, when the search first settles it.
     """
-    lines = bundle.lines
+    lines = bound.lines
     seen = set()
-    for lo, hi in bundle.spans:
+    for lo, hi in spans:
         if hi - lo == 1:
             line = lines.get(lo)
             if line is None:
-                line = lines[lo] = _line(bundle.feasible[lo])
+                line = lines[lo] = _line(bound.rows[lo])
             if not line or line in seen:
                 return True
             seen.add(line)
@@ -394,122 +452,30 @@ def verify_solution(instance: ProblemInstance, X: IntMatrix) -> None:
         raise ValueError(f"X has rank {r}, required {instance.target_rank}")
 
 
-class RangeBound:
-    """The range-conditioned bound of one solve.
-
-    Row i of a node can take at column k only the column-k values of its
-    range feasible[lo:hi], so no completion of the node fits column k better
-    than the floor of the per-row product of those values (FloorTable), and
-    the floors of columns j.. sum to a bound on their cost.  A span's mask
-    ORs the per-row codes of its rows, with bit (k N + i) |S| + t set when a
-    row takes values[t] at column k (the row's own bits sit in field i = 0);
-    a node's mask ORs its N span masks, the i-th shifted into field i, so
-    the N |S| bits of column k are the FloorTable mask of that column.  Span
-    masks, floors and candidates are kept for the rest of the solve:
-    `span_masks` maps a range to its mask, `memo[k]` a column-k mask to its
-    floor, and `reads[k]` a column-k mask that the search has read to the
-    (cost, x) of the points it holds (FloorTable.held).  `root` holds the
-    mask and floors of the root, `bundle0`.
-    """
-
-    def __init__(self, instance: ProblemInstance, F: np.ndarray, bundle0: RowTreeBundle) -> None:
-        values = instance.alphabet.values
-        n, width = instance.n_rows, len(values)
-        rows = np.array(bundle0.feasible, dtype=F.dtype)
-        hit = rows[:, :, None] == np.array(values, dtype=F.dtype)
-        allowed = hit.any(axis=0)
-        # the table's one pass holds L |W|^N points, W the values F takes
-        n_cols, n_values = len(allowed), int(allowed.any(axis=0).sum())
-        size = n_cols * n_values**n
-        if size > FLOOR_TABLE_LIMIT:
-            raise ValueError(
-                f"the column floor table needs L |W|^N = {size} points for L = {n_cols} "
-                f"columns, |W| = {n_values} values taken by the feasible rows and N = {n} "
-                f"rows (at most {FLOOR_TABLE_LIMIT})"
-            )
-        self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
-        bits = np.zeros(hit.shape[:2] + (n * width,), dtype=bool)
-        bits[:, :, :width] = hit
-        packed = np.packbits(bits.reshape(len(rows), -1), axis=1, bitorder="little")
-        step = packed.shape[1]
-        data = packed.tobytes()
-        self.row_masks = [
-            int.from_bytes(data[o : o + step], "little") for o in range(0, len(data), step)
-        ]
-        self.shifts = range(0, n * width, width)
-        self.field = n * width
-        self.full = (1 << self.field) - 1
-        self.memo: list[dict[int, float]] = [{} for _ in range(instance.n_cols)]
-        self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [
-            {} for _ in range(instance.n_cols)
-        ]
-        # every root range is all of F, whose mask holds every point of V_k^N
-        whole = functools.reduce(operator.or_, self.row_masks)
-        self.span_masks: dict[tuple[int, int], int] = {(0, len(rows)): whole}
-        self.root = (
-            sum(whole << shift for shift in self.shifts),
-            [floors[0] for floors in self.table.floors],
-        )
-
-    def child(
-        self, j: int, before: int, floors: list[float], spans: tuple[tuple[int, int], ...]
-    ) -> tuple[int, list[float]]:
-        """Mask and per-column floors of a node at depth j + 1 with these ranges.
-
-        `before` and `floors` are its parent's mask and floors; only the
-        columns k > j whose mask field differs from the parent's are looked
-        up again, so j = -1 with before = 0 looks up every column.
-        """
-        cache = self.span_masks
-        mask = 0
-        for span, shift in zip(spans, self.shifts):
-            m = cache.get(span)
-            if m is None:
-                lo, hi = span
-                m = cache[span] = functools.reduce(operator.or_, self.row_masks[lo:hi])
-            mask |= m << shift
-        field = self.field
-        changed = (before ^ mask) >> ((j + 1) * field)
-        if changed:
-            floors = floors.copy()
-            full, memo, table = self.full, self.memo, self.table
-            while changed:
-                d = (changed.bit_length() - 1) // field
-                k = j + 1 + d
-                key = (mask >> (k * field)) & full
-                f = memo[k].get(key)
-                if f is None:
-                    f = memo[k][key] = table.floor(k, key)
-                floors[k] = f
-                changed &= (1 << (d * field)) - 1
-        return mask, floors
-
-
 def _search(
     instance: ProblemInstance,
-    bundle0: RowTreeBundle,
-    cap: float,
     bound: RangeBound,
+    cap: float,
     stats: SolveStats,
 ) -> tuple[float, IntMatrix] | None:
     """Best leaf with objective below `cap`, or None if every leaf reaches it.
 
-    The running best objective starts at the cap.  A node at column j holds
-    the mask and floors of its own ranges (see RangeBound) and `rest`, their
+    The running best objective starts at the cap.  A node at column j is its
+    ranges, their mask and floors (see RangeBound) and `rest`, the floors'
     sum over columns j+1..  Its candidates are the points of the floor
     table's column j that the column-j field of its mask holds, in the
     table's (cost, x) order, listed once per solve per mask (RangeBound.reads),
     and the read stops at the first one where acc + cost + rest reaches the
     best objective: no later one costs less.  A child is dropped once
-    acc + cost plus its own floors over columns j+1.. reaches it.  No completion of a node fits a column better
-    than its floor there, so each prune discards only leaves costing at least
-    the best objective, and a returned leaf is the minimum over all leaves
-    below the cap.  A child whose settled rows are dependent is dropped
-    before recursing, and so is a leaf of rank below N: neither can hold the
-    optimum.
+    acc + cost plus its own floors over columns j+1.. reaches it.  No
+    completion of a node fits a column better than its floor there, so each
+    prune discards only leaves costing at least the best objective, and a
+    returned leaf is the minimum over all leaves below the cap.  A child
+    whose settled rows are dependent is dropped before recursing, and so is
+    a leaf of rank below N: neither can hold the optimum.
     """
     Y, G = instance.Y, instance.G
-    feasible = bundle0.feasible
+    rows = bound.rows
     n_cols = instance.n_cols
     table, reads = bound.table, bound.reads
     field, full = bound.field, bound.full
@@ -517,11 +483,11 @@ def _search(
     best_X: IntMatrix | None = None
 
     def recurse(
-        j: int, bundle: RowTreeBundle, acc: float, mask: int, floors: list[float], rest: float
+        j: int, spans: Spans, acc: float, mask: int, floors: list[float], rest: float
     ) -> None:
         nonlocal best_obj, best_X
         if j == n_cols:
-            X = IntMatrix(tuple(feasible[lo] for lo, _ in bundle.spans))
+            X = IntMatrix(tuple(rows[lo] for lo, _ in spans))
             if int_rank(X) != instance.target_rank:
                 stats.backtracks += 1
                 stats.rank_rejects += 1
@@ -548,16 +514,16 @@ def _search(
                     stats.bound_prunes += 1
                 break
             taken = True
-            child = prune_with_column(bundle, j, x)
+            child, cmask = prune_with_column(bound, spans, j, x)
             if last:
-                cmask, cfloors, crest = 0, floors, 0.0
+                cfloors, crest = floors, 0.0
             else:
-                cmask, cfloors = bound.child(j, mask, floors, child.spans)
+                cfloors = bound.child(j, mask, cmask, floors)
                 crest = sum(cfloors[j + 2 :])
                 if cost + cfloors[j + 1] + crest >= best_obj:
                     stats.bound_prunes += 1
                     continue
-            if _settled_rows_dependent(child):
+            if _settled_rows_dependent(bound, child):
                 stats.backtracks += 1
                 stats.rank_rejects += 1
                 continue
@@ -566,8 +532,8 @@ def _search(
             stats.backtracks += 1
             stats.empty_decodes += 1
 
-    mask, floors = bound.root
-    recurse(0, bundle0, 0.0, mask, floors, sum(floors[1:]))
+    spans, mask, floors = bound.root
+    recurse(0, spans, 0.0, mask, floors, sum(floors[1:]))
     if best_X is None:
         return None
     return best_obj, best_X
@@ -594,17 +560,16 @@ def solve(instance: ProblemInstance) -> SolveResult:
             f"feasible rows span rank {span_rank}, below target {instance.target_rank}",
             feasible_rank=span_rank,
         )
-    bundle0 = RowTreeBundle.initial(feasible, instance.n_rows)
-    bound = RangeBound(instance, F, bundle0)
-    d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bundle0, 0))
+    bound = RangeBound(instance, F, feasible)
+    d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bound, bound.root[0], 0))
     # d is at least 1e-9, but its slack can carry L d^2 past the largest float
     # when ||Y - G X||^2 sits at the float limit
     cap = min(instance.n_cols * d * d, sys.float_info.max)
-    best = _search(instance, bundle0, cap, bound, stats)
+    best = _search(instance, bound, cap, stats)
     while best is None:
         cap *= CAP_GROWTH
         stats.radius_expansions += 1
-        best = _search(instance, bundle0, cap, bound, stats)
+        best = _search(instance, bound, cap, stats)
     obj, X = best
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0
@@ -648,11 +613,8 @@ def solve_ils_eq(
     sets = CandidateSets.uniform(alphabet, G.shape[1])
     lattice = PreparedLattice.from_matrix(G)
     d = babai_radius(y, lattice, sets)
-    candidates = sphere_decode(y, lattice, d, sets)
-    while not candidates:
-        d += 1.0
-        candidates = sphere_decode(y, lattice, d, sets)
-    anchor = candidates[0].x
+    # a decode at the Babai radius always holds the snapped point (see babai_radius)
+    anchor = sphere_decode(y, lattice, d, sets)[0].x
     return min(
         feasible,
         key=lambda v: (sum((a - b) ** 2 for a, b in zip(anchor, v)), v),

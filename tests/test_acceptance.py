@@ -18,15 +18,12 @@ from cils import (
     CandidateSets,
     GenSpec,
     IntMatrix,
-    RowTreeBundle,
     babai_radius,
-    derive_column_sets,
     generate_instance,
     hermite_normal_form,
     oracle_F,
     oracle_solve,
     oracle_sphere,
-    prune_with_column,
     solve,
     solve_diophantine_sparse,
     solve_ils_eq,
@@ -35,6 +32,7 @@ from cils import (
     validate_hnf,
     verify_solution,
 )
+from cils.assembler import RangeBound, derive_column_sets, prune_with_column
 from cils.cli import load_instance
 from cils.harness import trial_seeds
 from conftest import A_ROWS, FEASIBLE_7, H_REF_ROWS, U_REF_ROWS, X_A_ROWS
@@ -90,23 +88,24 @@ def test_criterion_2_feasible_cardinality(ex_A):
 
 
 @criterion(3, "per-column pruning trace matches the known fixture walk")
-def test_criterion_3_pruning_trace(ex_A, ex_Y, ex_G):
-    feasible = tree_leaves(solve_diophantine_sparse(ex_A, S3, 4)[0])
-    bundle = RowTreeBundle.initial(feasible, 3)
+def test_criterion_3_pruning_trace(ex_instance, ex_Y, ex_G):
+    F, _ = solve_diophantine_sparse(ex_instance.A, S3, 4)
+    bound = RangeBound(ex_instance, F, tree_leaves(F))
+    spans = bound.root[0]
 
-    sets1 = derive_column_sets(bundle, 0)
+    sets1 = derive_column_sets(bound, spans, 0)
     assert [a.values for a in sets1.sets] == [(-1, 0, 1)] * 3
     x1 = sphere_decode(ex_Y[:, 0], ex_G, 0.5, sets1)[0].x
     assert x1 == (1, 0, 0)
-    bundle = prune_with_column(bundle, 0, x1)
+    spans, _ = prune_with_column(bound, spans, 0, x1)
 
-    sets2 = derive_column_sets(bundle, 1)
+    sets2 = derive_column_sets(bound, spans, 1)
     assert [a.values for a in sets2.sets] == [(1,), (-1, 0, 1), (-1, 0, 1)]
     x2 = sphere_decode(ex_Y[:, 1], ex_G, 0.5, sets2)[0].x
     assert x2 == (1, -1, 1)
-    bundle = prune_with_column(bundle, 1, x2)
+    spans, _ = prune_with_column(bound, spans, 1, x2)
 
-    sets3 = derive_column_sets(bundle, 2)
+    sets3 = derive_column_sets(bound, spans, 2)
     assert [a.values for a in sets3.sets] == [(-1,), (-1, 0), (0, 1)]
     x3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets3)[0].x
     assert x3 == (-1, -1, 0)

@@ -10,6 +10,8 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,17 +24,15 @@ from cils import (
     CandidateSets,
     InfeasibleError,
     IntMatrix,
+    PreparedLattice,
     ProblemInstance,
-    RowTreeBundle,
     babai_radius,
-    derive_column_sets,
     generate_instance,
     GenSpec,
     int_rank,
     objective,
     oracle_F,
     oracle_solve,
-    prune_with_column,
     solve,
     solve_diophantine_sparse,
     solve_ils_eq,
@@ -40,7 +40,13 @@ from cils import (
     tree_leaves,
     verify_solution,
 )
-from cils.assembler import RangeBound, _line, _settled_rows_dependent
+from cils.assembler import (
+    RangeBound,
+    _line,
+    _settled_rows_dependent,
+    derive_column_sets,
+    prune_with_column,
+)
 from cils.harness import load_specs, trial_seeds
 from conftest import FEASIBLE_7, X_A_ROWS
 
@@ -51,9 +57,11 @@ STRETCH_TIER = SCRIPTS / "stretch_tier.json"
 NOISY_TIER = SCRIPTS / "noisy_tier.json"
 
 
-@pytest.fixture(scope="module")
-def ex_feasible(ex_A, s3):
-    return tree_leaves(solve_diophantine_sparse(ex_A, s3, 4)[0])
+@pytest.fixture
+def ex_bound(ex_instance):
+    """A fresh RangeBound of the worked example: its caches start empty."""
+    F, _ = solve_diophantine_sparse(ex_instance.A, ex_instance.alphabet, ex_instance.sparsity)
+    return RangeBound(ex_instance, F, tree_leaves(F))
 
 
 class TestProblemInstance:
@@ -153,67 +161,89 @@ class TestProblemInstance:
         assert len(ex_instance.lattice.R) == ex_instance.n_rows
 
 
-def survivors(bundle):
+def survivors(bound, spans):
     """The feasible rows each output row can still take."""
-    return [bundle.feasible[lo:hi] for lo, hi in bundle.spans]
+    return [bound.rows[lo:hi] for lo, hi in spans]
 
 
 class TestPruningTrace:
     """The per-column decode/prune walk pinned step by step."""
 
-    def test_initial_sets_are_full_alphabet(self, ex_feasible):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        sets = derive_column_sets(bundle, 0)
+    def test_initial_sets_are_full_alphabet(self, ex_bound):
+        sets = derive_column_sets(ex_bound, ex_bound.root[0], 0)
         assert [a.values for a in sets.sets] == [(-1, 0, 1)] * 3
 
-    def test_first_column_decode_and_prune(self, ex_feasible, ex_Y, ex_G):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        z1 = sphere_decode(ex_Y[:, 0], ex_G, 0.5, derive_column_sets(bundle, 0))
+    def test_first_column_decode_and_prune(self, ex_bound, ex_Y, ex_G):
+        spans = ex_bound.root[0]
+        z1 = sphere_decode(ex_Y[:, 0], ex_G, 0.5, derive_column_sets(ex_bound, spans, 0))
         assert z1[0].x == (1, 0, 0)
-        pruned = prune_with_column(bundle, 0, z1[0].x)
-        rows = survivors(pruned)
+        pruned, _ = prune_with_column(ex_bound, spans, 0, z1[0].x)
+        rows = survivors(ex_bound, pruned)
         assert [len(r) for r in rows] == [1, 5, 5]
         assert rows[0][0] == (1, 1, -1, -1, 0, 0, 0)
         for vec in rows[1]:
             assert vec[0] == 0
 
-    def test_second_column_sets_and_decode(self, ex_feasible, ex_Y, ex_G):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        bundle = prune_with_column(bundle, 0, (1, 0, 0))
-        sets = derive_column_sets(bundle, 1)
+    def test_second_column_sets_and_decode(self, ex_bound, ex_Y, ex_G):
+        spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
+        sets = derive_column_sets(ex_bound, spans, 1)
         assert [a.values for a in sets.sets] == [(1,), (-1, 0, 1), (-1, 0, 1)]
         z2 = sphere_decode(ex_Y[:, 1], ex_G, 0.5, sets)
         assert z2[0].x == (1, -1, 1)
 
-    def test_third_column_sets_and_final_assembly(self, ex_feasible, ex_Y, ex_G):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        bundle = prune_with_column(bundle, 0, (1, 0, 0))
-        bundle = prune_with_column(bundle, 1, (1, -1, 1))
-        sets = derive_column_sets(bundle, 2)
+    def test_third_column_sets_and_final_assembly(self, ex_bound, ex_Y, ex_G):
+        spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
+        spans, _ = prune_with_column(ex_bound, spans, 1, (1, -1, 1))
+        sets = derive_column_sets(ex_bound, spans, 2)
         assert [a.values for a in sets.sets] == [(-1,), (-1, 0), (0, 1)]
         z3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets)
         assert z3[0].x == (-1, -1, 0)
-        final = prune_with_column(bundle, 2, z3[0].x)
-        rows = survivors(final)
+        final, _ = prune_with_column(ex_bound, spans, 2, z3[0].x)
+        rows = survivors(ex_bound, final)
         assert all(len(r) == 1 for r in rows)
         assert tuple(r[0] for r in rows) == X_A_ROWS
 
-    def test_value_contradicting_settled_row_rejected(self, ex_feasible):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        bundle = prune_with_column(bundle, 0, (1, 0, 0))
+    def test_value_contradicting_settled_row_rejected(self, ex_bound):
+        spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
         # row 0 is settled on (1, 1, -1, ...); a 0 in its column 1 contradicts it
-        assert len(survivors(bundle)[0]) == 1
+        assert len(survivors(ex_bound, spans)[0]) == 1
         with pytest.raises(ValueError, match="row 0"):
-            prune_with_column(bundle, 1, (0, 0, 1))
+            prune_with_column(ex_bound, spans, 1, (0, 0, 1))
 
     def test_emptying_choice_rejected(self):
-        bundle = RowTreeBundle.initial([(0, 1), (1, 0)], 2)
+        bound = bound_over([(0, 1), (1, 0)], 2)
         with pytest.raises(ValueError):
-            prune_with_column(bundle, 0, (0, 7))  # 7 appears in no survivor
+            prune_with_column(bound, bound.root[0], 0, (0, 7))  # 7 appears in no survivor
 
-    def test_initial_requires_nonempty_feasible(self):
-        with pytest.raises(ValueError):
-            RowTreeBundle.initial([], 2)
+
+def bound_over(rows, n_rows):
+    """RangeBound over distinct equal-length integer rows, in any order.
+
+    Only the row ranges and their masks are read, so the instance carries
+    just what the bound is built from: the rows' values as the alphabet,
+    G = I and Y = 0.  It skips ProblemInstance, which would also require
+    n_rows to be at most the row length.
+    """
+    n_cols = len(rows[0])
+    instance = SimpleNamespace(
+        alphabet=Alphabet(tuple(sorted({v for row in rows for v in row}))),
+        n_rows=n_rows,
+        n_cols=n_cols,
+        lattice=PreparedLattice.from_matrix(np.eye(n_rows)),
+        Y=np.zeros((n_rows, n_cols)),
+    )
+    return RangeBound(instance, np.array(rows), sorted(rows))
+
+
+def range_mask(bound, spans, width):
+    """Reference node mask: per row i, the OR of row_masks[lo:hi], shifted into field i."""
+    mask = 0
+    for i, (lo, hi) in enumerate(spans):
+        row_or = 0
+        for m in bound.row_masks[lo:hi]:
+            row_or |= m
+        mask |= row_or << (i * width)
+    return mask
 
 
 def filter_sets(rows_per_output, j):
@@ -245,80 +275,80 @@ class TestRowRanges:
 
     @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
     def test_walk_matches_tuple_filter(self, rows, n_rows, data):
-        bundle = RowTreeBundle.initial(rows, n_rows)
+        bound = bound_over(rows, n_rows)
+        width = len({v for row in rows for v in row})
+        spans, mask, _ = bound.root
+        assert mask == range_mask(bound, spans, width)
         reference = [tuple(rows)] * n_rows
         for j in range(len(rows[0])):
             expected = filter_sets(reference, j)
-            assert [a.values for a in derive_column_sets(bundle, j).sets] == expected
+            assert [a.values for a in derive_column_sets(bound, spans, j).sets] == expected
             x_col = tuple(data.draw(st.sampled_from(vals)) for vals in expected)
-            bundle = prune_with_column(bundle, j, x_col)
+            spans, mask = prune_with_column(bound, spans, j, x_col)
             reference = filter_prune(reference, j, x_col)
-            assert survivors(bundle) == [tuple(sorted(r)) for r in reference]
-        assert all(hi - lo == 1 for lo, hi in bundle.spans)
+            assert survivors(bound, spans) == [tuple(sorted(r)) for r in reference]
+            assert mask == range_mask(bound, spans, width)
+        assert all(hi - lo == 1 for lo, hi in spans)
 
     @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
     def test_sibling_branches_read_cached_splits(self, rows, n_rows, data):
         # each range is split once per solve; a sibling branch, and a second
-        # walk down the same branch, read those splits back from the cache
-        root = RowTreeBundle.initial(rows, n_rows)
-        for _ in range(2):
-            bundle = root
+        # walk down the same branches, read those splits back from the cache
+        bound = bound_over(rows, n_rows)
+        choices = []
+        visited = set()
+        splits_made = []
+        split = cils.assembler._split
+
+        def counted_split(bound, key):
+            splits_made.append(key)
+            return split(bound, key)
+
+        for walk in range(2):
+            spans = bound.root[0]
             reference = [tuple(rows)] * n_rows
             for j in range(len(rows[0])):
                 expected = filter_sets(reference, j)
-                assert [a.values for a in derive_column_sets(bundle, j).sets] == expected
-                cols = [tuple(data.draw(st.sampled_from(vals)) for vals in expected)
-                        for _ in range(2)]
-                for x_col in cols:
-                    child = prune_with_column(bundle, j, x_col)
-                    assert child.splits is root.splits
-                    assert survivors(child) == [
+                assert [a.values for a in derive_column_sets(bound, spans, j).sets] == expected
+                if walk == 0:
+                    visited.update((j, lo, hi) for lo, hi in spans)
+                    choices.append([tuple(data.draw(st.sampled_from(vals)) for vals in expected)
+                                    for _ in range(2)])
+                for x_col in choices[j]:
+                    with mock.patch.object(cils.assembler, "_split", counted_split):
+                        child, _ = prune_with_column(bound, spans, j, x_col)
+                    assert survivors(bound, child) == [
                         tuple(sorted(r)) for r in filter_prune(reference, j, x_col)
                     ]
-                bundle = child
-                reference = filter_prune(reference, j, cols[-1])
+                spans = child
+                reference = filter_prune(reference, j, choices[j][-1])
+            if walk == 0:
+                n_splits = len(bound.splits)
+        # one entry per range narrowed, made on the first walk and only read after
+        assert len(bound.splits) == n_splits
+        assert bound.splits.keys() == visited
+        assert len(splits_made) == len(set(splits_made))
 
-    def test_cached_split_errors_unchanged(self, ex_feasible):
-        root = RowTreeBundle.initial(ex_feasible, 3)
-        bundle = prune_with_column(root, 0, (1, 0, 0))
-        derive_column_sets(bundle, 1)
-        prune_with_column(bundle, 1, (1, -1, 1))
-        # the splits of column 1 are cached now, yet the root still refuses it
-        with pytest.raises(ValueError, match="column 1 is not the next column"):
-            derive_column_sets(root, 1)
-        with pytest.raises(ValueError, match="column 1 is not the next column"):
-            prune_with_column(root, 1, (0, 0, 0))
+    def test_cached_split_errors_unchanged(self, ex_bound):
+        spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
+        derive_column_sets(ex_bound, spans, 1)
+        prune_with_column(ex_bound, spans, 1, (1, -1, 1))
         # a value absent from a cached range empties the row, settled or not
         empties = "value {} at column 1 eliminates every candidate for row {}"
         with pytest.raises(ValueError, match=empties.format(0, 0)):
-            prune_with_column(bundle, 1, (0, 0, 1))
+            prune_with_column(ex_bound, spans, 1, (0, 0, 1))
         with pytest.raises(ValueError, match=empties.format(7, 2)):
-            prune_with_column(bundle, 1, (1, -1, 7))
-
-    def test_columns_are_fixed_left_to_right(self, ex_feasible):
-        bundle = RowTreeBundle.initial(ex_feasible, 3)
-        with pytest.raises(ValueError, match="column 1"):
-            derive_column_sets(bundle, 1)
-        with pytest.raises(ValueError, match="column 1"):
-            prune_with_column(bundle, 1, (0, 0, 0))
-        bundle = prune_with_column(bundle, 0, (1, 0, 0))
-        with pytest.raises(ValueError, match="column 0"):
-            derive_column_sets(bundle, 0)
-        with pytest.raises(ValueError, match="column 0"):
-            prune_with_column(bundle, 0, (1, 0, 0))
-        for j in range(1, 7):
-            bundle = prune_with_column(bundle, j, tuple(row[j] for row in X_A_ROWS))
-        assert bundle.depth == 7
-        with pytest.raises(ValueError, match="column 7"):
-            derive_column_sets(bundle, 7)
+            prune_with_column(ex_bound, spans, 1, (1, -1, 7))
 
 
 def settle(feasible, rows, depth=None):
-    """The bundle whose output rows have taken the entries of `rows` on columns 0..depth-1."""
-    bundle = RowTreeBundle.initial(feasible, len(rows))
+    """The bound over `feasible` and the ranges once the output rows have taken
+    the entries of `rows` on columns 0..depth-1."""
+    bound = bound_over(feasible, len(rows))
+    spans = bound.root[0]
     for j in range(len(rows[0]) if depth is None else depth):
-        bundle = prune_with_column(bundle, j, tuple(r[j] for r in rows))
-    return bundle
+        spans, _ = prune_with_column(bound, spans, j, tuple(r[j] for r in rows))
+    return bound, spans
 
 
 class TestSettledLineTest:
@@ -344,18 +374,18 @@ class TestSettledLineTest:
         ids=["zero", "equal", "negated", "doubled", "independent", "three-dependent"],
     )
     def test_settled_rows(self, rows, dependent):
-        assert _settled_rows_dependent(settle(self.S5_ROWS, rows)) is dependent
+        assert _settled_rows_dependent(*settle(self.S5_ROWS, rows)) is dependent
 
     def test_only_settled_rows_count(self):
         feasible = [(1, 0, -1), (2, 0, -2), (0, 1, -1), (0, -1, 1)]
         # column 0 alone settles rows 0 and 1 on x and 2x
-        assert _settled_rows_dependent(settle(feasible, ((1, 0, -1), (2, 0, -2), (0, 1, -1)), 1))
+        assert _settled_rows_dependent(*settle(feasible, ((1, 0, -1), (2, 0, -2), (0, 1, -1)), 1))
         # rows 1 and 2 are headed for y and -y, but neither is settled yet
         rows = ((1, 0, -1), (0, 1, -1), (0, -1, 1))
-        bundle = settle(feasible, rows, 1)
-        assert [hi - lo for lo, hi in bundle.spans] == [1, 2, 2]
-        assert not _settled_rows_dependent(bundle)
-        assert _settled_rows_dependent(settle(feasible, rows, 2))
+        bound, spans = settle(feasible, rows, 1)
+        assert [hi - lo for lo, hi in spans] == [1, 2, 2]
+        assert not _settled_rows_dependent(bound, spans)
+        assert _settled_rows_dependent(*settle(feasible, rows, 2))
 
     def test_rank_dead_subtrees_cut_before_the_leaves(self, monkeypatch):
         # sigma = 0.8 noise on S5 rows: branches that settle two rows on one
@@ -667,8 +697,8 @@ class TestBoundEdgeShapes:
             assert inst.lattice.Q2t.shape[0] == 0
             assert not inst.lattice.outside_span(inst.Y).any()
             F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
-            bound = RangeBound(inst, F, RowTreeBundle.initial(tree_leaves(F), n))
-            assert sum(bound.root[1]) > 0.0
+            bound = RangeBound(inst, F, tree_leaves(F))
+            assert sum(bound.root[2]) > 0.0
             prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
         assert prunes > 0
 
@@ -719,23 +749,23 @@ class TestRangeBound:
     @staticmethod
     def bound_of(inst):
         F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
-        bundle = RowTreeBundle.initial(tree_leaves(F), inst.n_rows)
-        return F, bundle, RangeBound(inst, F, bundle)
+        return F, RangeBound(inst, F, tree_leaves(F))
 
     @given(inst=degenerate_instances(), data=st.data())
     @settings(max_examples=60)
     def test_node_bound_below_cheapest_completion(self, inst, data):
         assume(oracle_F(inst.A, inst.alphabet, inst.sparsity))
-        _, bundle, bound = self.bound_of(inst)
+        _, bound = self.bound_of(inst)
+        spans, mask, _ = bound.root
         depth = data.draw(st.integers(0, inst.n_cols - 1), label="depth")
         for j in range(depth):
-            sets = derive_column_sets(bundle, j).sets
+            sets = derive_column_sets(bound, spans, j).sets
             x_col = tuple(data.draw(st.sampled_from(a.values)) for a in sets)
-            bundle = prune_with_column(bundle, j, x_col)
-        _, floors = bound.child(-1, 0, [0.0] * inst.n_cols, bundle.spans)
+            spans, mask = prune_with_column(bound, spans, j, x_col)
+        floors = bound.child(-1, 0, mask, [0.0] * inst.n_cols)
         # every completion: one row of its range per output row
-        rows = np.array(bundle.feasible, dtype=float)[:, depth:]
-        stacks = np.array(list(itertools.product(*(range(lo, hi) for lo, hi in bundle.spans))))
+        rows = np.array(bound.rows, dtype=float)[:, depth:]
+        stacks = np.array(list(itertools.product(*(range(lo, hi) for lo, hi in spans))))
         r = inst.Y[None, :, depth:] - np.einsum("mn,pnl->pml", inst.G, rows[stacks])
         assert sum(floors[depth:]) <= float(np.einsum("pml,pml->p", r, r).min())
 
@@ -745,9 +775,11 @@ class TestRangeBound:
         # at the root every row ranges over all of F, so column k's floor is
         # c_k = min ||y_k - G x||^2 over V_k^N, V_k the values F takes there
         assume(oracle_F(inst.A, inst.alphabet, inst.sparsity))
-        F, bundle, bound = self.bound_of(inst)
-        _, floors = bound.root
-        assert bound.root == bound.child(-1, 0, [0.0] * inst.n_cols, bundle.spans)
+        F, bound = self.bound_of(inst)
+        spans, mask, floors = bound.root
+        assert spans == ((0, len(F)),) * inst.n_rows
+        assert mask == range_mask(bound, spans, len(inst.alphabet))
+        assert floors == bound.child(-1, 0, mask, [0.0] * inst.n_cols)
         want = sum(
             min(
                 float(np.sum((inst.Y[:, k] - inst.G @ np.array(x, dtype=float)) ** 2))
@@ -802,7 +834,7 @@ class TestRangeBound:
         inst = ProblemInstance(Y=G @ X + 0.5 * rng.standard_normal((3, 3)), G=G,
                                A=IntMatrix(((1, -1, 0),)), alphabet=alphabet, sparsity=2,
                                target_rank=2)
-        _, _, bound = self.bound_of(inst)
+        _, bound = self.bound_of(inst)
         assert max(max(codes) for codes in bound.table.codes).bit_length() > 64
         res = solve(inst)
         ref = oracle_solve(inst)

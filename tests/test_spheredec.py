@@ -27,7 +27,7 @@ from cils import (
     solve_diophantine_sparse,
     sphere_decode,
 )
-from cils.assembler import RangeBound, RowTreeBundle
+from cils.assembler import RangeBound
 from cils.dioph import tree_leaves
 from cils.spheredec import BOUNDARY_SLACK, FloorTable, SphereCandidate
 
@@ -426,7 +426,7 @@ class TestColumnFloors:
         value_sets = [sorted(set(F[:, k])) for k in range(5)]
         assert value_sets[0] == [0]
         feasible = tree_leaves(F)
-        _, floors = RangeBound(inst, F, RowTreeBundle.initial(feasible, 2)).root
+        _, _, floors = RangeBound(inst, F, feasible).root
         outside = inst.lattice.outside_span(inst.Y)
         want = [brute_floor(inst.G, inst.Y[:, k], [vk] * 2) for k, vk in enumerate(value_sets)]
         for got, b, o in zip(floors, want, outside):

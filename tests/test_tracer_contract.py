@@ -38,3 +38,18 @@ def test_traced_solve_counts_match_solve_stats(ex_instance):
     assert metrics["dioph.feasible_rows"] == 7
     assert metrics["spheredec.calls"] == res.stats.sphere_calls
     assert [getattr(module, attr) for module, attr, _ in tracer.TARGETS] == originals
+
+
+def test_traced_solve_sees_every_narrowing(ex_instance):
+    # the search narrows its ranges through the module-level prune_with_column
+    # and derives column sets once, for the Babai cap; a narrowing step moved
+    # into a method would vanish from the traced benchmark's prune counts
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    with t.patch():
+        with t.solve(ex_instance.target_rank):
+            res = solve(ex_instance)
+    metrics = tracer.pass_metrics(t.arrays(), [res.stats])
+    assert metrics["assembler.derive_calls"] == 1
+    assert res.stats.column_reads > res.stats.empty_decodes
+    assert metrics["assembler.prune_calls"] >= res.stats.column_reads - res.stats.empty_decodes
