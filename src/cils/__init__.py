@@ -30,7 +30,6 @@ from .harness import GenSpec, GenerationError, generate_instance, load_specs, ru
 from .intlin import HnfResult, IntMatrix, hermite_normal_form, int_det, int_rank, validate_hnf
 from .oracle import BudgetExceededError, OracleBudget, oracle_F, oracle_solve, oracle_sphere
 from .spheredec import (
-    CandidateSets,
     PreparedLattice,
     SphereCandidate,
     babai_radius,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BudgetExceededError",
-    "CandidateSets",
     "DiophStats",
     "GenSpec",
     "GenerationError",

@@ -34,10 +34,12 @@ F, so the floor of column k is c_k over V_k^N, V_k the values F takes at
 coordinate k, and the bound is sum_k c_k; it is nonzero in general even when
 G is square.  One table per instance (spheredec.FloorTable) holds every
 point of V_k^N per column, sorted by cost, and a floor is the cost of the
-first point of the product in that order, shrunk by a rounding allowance.
-A node's mask ORs the bit masks of its ranges, one bit per (column, row,
-value) taken, and RangeBound keeps each floor it has looked up, so a child
-recomputes only the columns whose value sets its narrowed ranges changed.
+first point of the product in that order, shrunk by a rounding allowance
+when it is looked up.  Each feasible row's bit mask, one bit per (column,
+value) it takes, is built straight from the sorted row; a node's mask ORs
+the masks of its ranges, one field per output row, and RangeBound keeps
+each floor it has looked up, so a child recomputes only the columns whose
+value sets its narrowed ranges changed.
 The table's one pass holds L |W|^N points (W the values F takes), and a
 solve needing more than FLOOR_TABLE_LIMIT is refused with ValueError before
 the table is built.
@@ -47,7 +49,8 @@ cap, and a node at column j with cost `acc` of its fixed columns reads the
 points of column j's table that its ranges hold, in (cost, x) order, until
 acc + cost + rest reaches best, `rest` the sum of its floors over columns
 j+1..: these are the candidates sphere_decode returns at radius
-sqrt(best - acc - rest) over the per-row candidate sets, in its order.  The
+sqrt(best - acc - rest) over the per-row candidate sets (one Alphabet per
+row, as derive_column_sets returns them), in its order.  The
 points a mask holds are listed once per solve (RangeBound.reads).  A
 child is dropped once acc + cost plus its own floors over columns j+1..
 reaches best; those floors' sum past column j+1 is the child's `rest`.
@@ -73,7 +76,7 @@ import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, int_rank
-from .spheredec import CandidateSets, FloorTable, PreparedLattice, babai_radius, sphere_decode
+from .spheredec import FloorTable, PreparedLattice, babai_radius, sphere_decode
 
 # factor by which the objective cap grows after a pass that finds no leaf
 CAP_GROWTH = 2.0
@@ -239,10 +242,12 @@ class RangeBound:
     range, so no completion of the node fits column k better than the floor
     of the per-row product of those values (FloorTable), and the floors of
     columns j.. sum to a bound on their cost.  `row_masks` holds one mask per
-    row, with bit (k N + i) |S| + t set when the row takes values[t] at
-    column k, in field i = 0; a range's mask ORs the masks of its rows, and a
-    node's mask ORs its N range masks, the i-th shifted into field i, so the
-    N |S| bits of column k are the FloorTable mask of that column.
+    row, built straight from the sorted row, with bit (k N + i) |S| + t set
+    when the row takes values[t] at column k, in field i = 0; a range's mask
+    ORs the masks of its rows, and a node's mask ORs its N range masks, the
+    i-th shifted into field i, so the N |S| bits of column k are the
+    FloorTable mask of that column.  The OR of every row mask gives the
+    values F takes per column, which size and build the table.
 
     Every cache is filled on first use and kept for the rest of the solve:
     `splits` maps (j, lo, hi) to the {value: ((lo', hi'), mask')} table of
@@ -254,16 +259,21 @@ class RangeBound:
     the (cost, x) of the points it holds (FloorTable.held).
     """
 
-    def __init__(self, instance: ProblemInstance, F: np.ndarray, feasible: list[IntVector]) -> None:
-        """`feasible` is tree_leaves(F): the rows of F as sorted tuples."""
+    def __init__(self, instance: ProblemInstance, feasible: list[IntVector]) -> None:
+        """`feasible` is tree_leaves(F): the feasible rows as sorted tuples."""
         values = instance.alphabet.values
-        n, width = instance.n_rows, len(values)
+        n, width, n_cols = instance.n_rows, len(values), instance.n_cols
+        self.field = field = n * width
         self.rows = tuple(feasible)
-        rows = np.array(self.rows, dtype=F.dtype)
-        hit = rows[:, :, None] == np.array(values, dtype=F.dtype)
-        allowed = hit.any(axis=0)
+        index = {v: t for t, v in enumerate(values)}
+        # a row takes one value per column, so the sum of its bits is their OR
+        self.row_masks = [
+            sum(1 << (k * field + index[v]) for k, v in enumerate(row)) for row in self.rows
+        ]
+        whole = functools.reduce(operator.or_, self.row_masks)
+        allowed = [[whole >> (k * field + t) & 1 for t in range(width)] for k in range(n_cols)]
         # the table's one pass holds L |W|^N points, W the values F takes
-        n_cols, n_values = len(allowed), int(allowed.any(axis=0).sum())
+        n_values = sum(map(any, zip(*allowed)))
         size = n_cols * n_values**n
         if size > FLOOR_TABLE_LIMIT:
             raise ValueError(
@@ -272,30 +282,15 @@ class RangeBound:
                 f"rows (at most {FLOOR_TABLE_LIMIT})"
             )
         self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
-        bits = np.zeros(hit.shape[:2] + (n * width,), dtype=bool)
-        bits[:, :, :width] = hit
-        packed = np.packbits(bits.reshape(len(rows), -1), axis=1, bitorder="little")
-        step = packed.shape[1]
-        data = packed.tobytes()
-        self.row_masks = [
-            int.from_bytes(data[o : o + step], "little") for o in range(0, len(data), step)
-        ]
-        self.shifts = range(0, n * width, width)
-        self.field = n * width
-        self.full = (1 << self.field) - 1
+        self.shifts = range(0, field, width)
+        self.full = (1 << field) - 1
         self.splits: dict[tuple[int, int, int], dict[int, tuple[tuple[int, int], int]]] = {}
         self.lines: dict[int, IntVector] = {}
-        self.memo: list[dict[int, float]] = [{} for _ in range(instance.n_cols)]
-        self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [
-            {} for _ in range(instance.n_cols)
-        ]
+        self.memo: list[dict[int, float]] = [{} for _ in range(n_cols)]
+        self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [{} for _ in range(n_cols)]
         # every root range is all of F, whose mask holds every point of V_k^N
-        whole = functools.reduce(operator.or_, self.row_masks)
-        self.root = (
-            ((0, len(rows)),) * n,
-            sum(whole << shift for shift in self.shifts),
-            [floors[0] for floors in self.table.floors],
-        )
+        mask = sum(whole << shift for shift in self.shifts)
+        self.root = (((0, len(self.rows)),) * n, mask, self.child(-1, 0, mask, [0.0] * n_cols))
 
     def child(self, j: int, before: int, mask: int, floors: list[float]) -> list[float]:
         """Per-column floors of a node at depth j + 1 with this mask.
@@ -341,17 +336,17 @@ def _split(bound: RangeBound, key: tuple[int, int, int]) -> dict[int, tuple[tupl
     return table
 
 
-def derive_column_sets(bound: RangeBound, spans: Spans, j: int) -> CandidateSets:
+def derive_column_sets(bound: RangeBound, spans: Spans, j: int) -> tuple[Alphabet, ...]:
     """Candidate values of column j per row: the j-th entries of its range.
 
-    Read off the keys of the bound's per-solve splits.
+    One Alphabet per row, read off the keys of the bound's per-solve splits.
     """
     splits = bound.splits
     sets = []
     for lo, hi in spans:
         key = (j, lo, hi)
         sets.append(Alphabet(tuple(splits.get(key) or _split(bound, key))))
-    return CandidateSets(tuple(sets))
+    return tuple(sets)
 
 
 def prune_with_column(
@@ -560,7 +555,7 @@ def solve(instance: ProblemInstance) -> SolveResult:
             f"feasible rows span rank {span_rank}, below target {instance.target_rank}",
             feasible_rank=span_rank,
         )
-    bound = RangeBound(instance, F, feasible)
+    bound = RangeBound(instance, feasible)
     d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bound, bound.root[0], 0))
     # d is at least 1e-9, but its slack can carry L d^2 past the largest float
     # when ||Y - G X||^2 sits at the float limit
@@ -610,7 +605,7 @@ def solve_ils_eq(
             return float(np.dot(r, r)), v
 
         return min(feasible, key=key)
-    sets = CandidateSets.uniform(alphabet, G.shape[1])
+    sets = (alphabet,) * G.shape[1]
     lattice = PreparedLattice.from_matrix(G)
     d = babai_radius(y, lattice, sets)
     # a decode at the Babai radius always holds the snapped point (see babai_radius)

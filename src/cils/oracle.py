@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -21,7 +22,7 @@ import numpy as np
 from .assembler import InfeasibleError, ProblemInstance, SolveResult, SolveStats
 from .dioph import Alphabet, IntVector
 from .intlin import IntMatrix
-from .spheredec import BOUNDARY_SLACK, CandidateSets, SphereCandidate
+from .spheredec import BOUNDARY_SLACK, SphereCandidate
 
 
 class BudgetExceededError(Exception):
@@ -128,7 +129,7 @@ def oracle_sphere(
     y,
     G,
     radius: float,
-    sets: CandidateSets,
+    sets: Sequence[Alphabet],
     budget: OracleBudget = OracleBudget(),
 ) -> list[SphereCandidate]:
     """All candidate-product points within the radius, by full scan.
@@ -136,14 +137,22 @@ def oracle_sphere(
     Applies the same boundary policy as the production decoder (squared
     distance at most radius^2 * (1 + 1e-9)) but shares none of its QR or
     pruning machinery.  radius = 0 is allowed and returns only exact hits.
+    `sets` holds one Alphabet per column of G.
     """
     G = np.asarray(G, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
+    if G.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {G.shape}")
+    m, n = G.shape
+    if y.shape[0] != m:
+        raise ValueError(f"expected a length-{m} vector, got {y.shape[0]}")
+    if len(sets) != n:
+        raise ValueError(f"need {n} candidate sets, got {len(sets)}")
     radius = float(radius)
     if radius < 0.0:
         raise ValueError("radius must be nonnegative")
-    budget.check(prod(len(s) for s in sets.sets), "sphere scan")
-    points = list(itertools.product(*(s.values for s in sets.sets)))
+    budget.check(prod(len(s) for s in sets), "sphere scan")
+    points = list(itertools.product(*(s.values for s in sets)))
     grid = np.array(points, dtype=float)
     resid = y[None, :] - grid @ G.T
     d2 = np.sum(resid * resid, axis=1)

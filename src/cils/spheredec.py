@@ -1,8 +1,9 @@
 """Sphere decoding over finite per-coordinate integer alphabets.
 
 sphere_decode finds every x with x_i in a given candidate set per coordinate
-and ||y - G x|| <= d, by QR-reducing G and enumerating coordinates
-last-to-first inside the shrinking interval each partial residual allows.
+(a sequence of one Alphabet per coordinate) and ||y - G x|| <= d, by
+QR-reducing G and enumerating coordinates last-to-first inside the shrinking
+interval each partial residual allows.
 The QR factors live in a PreparedLattice, built and validated once per G; a
 caller that decodes many vectors against one G passes the prepared lattice,
 and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
@@ -18,8 +19,9 @@ distance, in sphere_decode's (dist2, x) order.  The points of any
 per-coordinate sub-product within radius d are that sub-product's points at
 the head of the list, so the search reads a column's candidates off it, and
 the least distance over the sub-product, the floor of the branch-and-bound
-bound, is its first point's.  Floors are shrunk by the decoder's rounding
-allowance, so none exceeds a distance the decoder reports for the same point.
+bound, is its first point's.  A floor is shrunk, when it is read, by the
+decoder's rounding allowance, so none exceeds a distance the decoder reports
+for the same point.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import bisect
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,28 +56,6 @@ ROUNDING_SLACK = 16.0 * sys.float_info.epsilon
 class SphereCandidate(NamedTuple):
     x: IntVector
     dist2: float
-
-
-@dataclass(frozen=True)
-class CandidateSets:
-    """Per-coordinate alphabets restricting the decoder's search."""
-
-    sets: tuple[Alphabet, ...]
-
-    def __post_init__(self) -> None:
-        if not self.sets:
-            raise ValueError("need at least one candidate set")
-        object.__setattr__(self, "sets", tuple(self.sets))
-
-    @classmethod
-    def uniform(cls, alphabet: Alphabet, n: int) -> "CandidateSets":
-        return cls((alphabet,) * n)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __getitem__(self, i: int) -> Alphabet:
-        return self.sets[i]
 
 
 def _as_matrix(G) -> np.ndarray:
@@ -141,17 +122,13 @@ class PreparedLattice:
         G.setflags(write=False)
         return cls(G, Q1.T, Q2.T, tuple(map(tuple, R.tolist())))
 
-    def outside_span(self, Y) -> np.ndarray:
-        """Per column of Y, the squared distance ||Q2t y||^2 to G's column span."""
-        W = self.Q2t @ np.asarray(Y, dtype=float)
-        return np.sum(W * W, axis=0)
 
-
-def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandidate]:
+def sphere_decode(y, G, radius: float, sets: Sequence[Alphabet]) -> list[SphereCandidate]:
     """All x in the candidate product with ||y - G x|| <= radius.
 
-    G is a matrix or a PreparedLattice; a matrix is prepared on every call, so
-    callers decoding many vectors against one G should prepare it once.
+    `sets` holds one Alphabet per coordinate of x.  G is a matrix or a
+    PreparedLattice; a matrix is prepared on every call, so callers decoding
+    many vectors against one G should prepare it once.
     Exhaustive within the boundary policy above.  Results are sorted by
     (dist2, x) and each dist2 is the directly recomputed ||y - G x||^2, not
     the accumulated partial sum.
@@ -178,7 +155,7 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
     if base > prune:
         return out
     R = lat.R
-    values = [s.values for s in sets.sets]
+    values = [s.values for s in sets]
     x = [0] * n
 
     def descend(i: int, acc: float) -> None:
@@ -215,7 +192,7 @@ def sphere_decode(y, G, radius: float, sets: CandidateSets) -> list[SphereCandid
 
 
 class FloorTable:
-    """Per column k of Y, every x in V_k^N with its cost and floor, sorted by cost.
+    """Per column k of Y, every x in V_k^N with its cost, sorted by cost.
 
     `values` is the sorted alphabet and `allowed` an L x |values| boolean
     mask; V_k holds the values that row k of the mask allows, and every row
@@ -236,11 +213,12 @@ class FloorTable:
     at radius sqrt(b) over that product returns: the table is a
     Schnorr-Euchner enumeration of the whole sphere.
 
-    A point's floor is its cost shrunk by the decoder's rounding allowance
-    tau (see ROUNDING_SLACK) and by BOUND_SLACK, so it never exceeds
-    sphere_decode's dist2 for that point, at any scale of y.  `costs[k]`,
-    `floors[k]`, `codes[k]` and `points[k]` list column k's points in sorted
-    order; the point tuples, drawn from `values`, are shared by every column.
+    A point's floor is its cost shrunk, when floor() reads it, by the
+    decoder's rounding allowance `tau[k]` (see ROUNDING_SLACK) and by
+    BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point, at
+    any scale of y.  `costs[k]`, `codes[k]` and `points[k]` list column k's
+    points in sorted order; the point tuples, drawn from `values`, are shared
+    by every column.
     """
 
     def __init__(self, lattice: PreparedLattice, Y, values, allowed) -> None:
@@ -271,8 +249,6 @@ class FloorTable:
         cost[~inside] = np.inf
         order = np.argsort(cost, axis=1, kind="stable")
         cost = np.take_along_axis(cost, order, axis=1)
-        tau = ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))
-        floor = np.maximum(np.sqrt(cost) - tau[:, None], 0.0) ** 2 * (1.0 - BOUND_SLACK)
         # Python ints, so codes wider than 64 bits stay exact; both lists run
         # over W^N in the order of `digits`
         picked = t.tolist()
@@ -285,9 +261,9 @@ class FloorTable:
         counts = inside.sum(axis=1).tolist()
         order = [o[:c].tolist() for o, c in zip(order, counts)]
         self.costs = [a[:c].tolist() for a, c in zip(cost, counts)]
-        self.floors = [f[:c].tolist() for f, c in zip(floor, counts)]
         self.codes = [[codes[p] for p in o] for o in order]
         self.points = [[points[p] for p in o] for o in order]
+        self.tau = (ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))).tolist()
 
     def held(self, k: int, mask: int) -> list[tuple[float, IntVector]]:
         """(cost, x) of the points of column k that the mask holds, in sorted order."""
@@ -299,17 +275,18 @@ class FloorTable:
 
     def floor(self, k: int, mask: int) -> float:
         """Least floor of column k over the points the mask holds; inf if none."""
-        for code, f in zip(self.codes[k], self.floors[k]):
+        for code, cost in zip(self.codes[k], self.costs[k]):
             if code & mask == code:
-                return f
+                d = max(math.sqrt(cost) - self.tau[k], 0.0)
+                return d * d * (1.0 - BOUND_SLACK)
         return math.inf
 
 
-def babai_radius(y, G, sets: CandidateSets) -> float:
+def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:
     """Search radius from rounding the unconstrained least-squares solution.
 
-    G is a matrix or a PreparedLattice, as for sphere_decode.  The real
-    solution of R x = Q1^T y is found by back substitution, and each of its
+    G and `sets` are as for sphere_decode.  The real solution of
+    R x = Q1^T y is found by back substitution, and each of its
     coordinates is snapped to the nearest value in its candidate set (ties
     to the smaller value); the returned radius is the residual r0 of that
     point plus 1e-9 (1 + r0), so it is at least 1e-9, and a sphere decode at

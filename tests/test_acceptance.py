@@ -15,7 +15,6 @@ import numpy as np
 
 from cils import (
     Alphabet,
-    CandidateSets,
     GenSpec,
     IntMatrix,
     babai_radius,
@@ -90,23 +89,23 @@ def test_criterion_2_feasible_cardinality(ex_A):
 @criterion(3, "per-column pruning trace matches the known fixture walk")
 def test_criterion_3_pruning_trace(ex_instance, ex_Y, ex_G):
     F, _ = solve_diophantine_sparse(ex_instance.A, S3, 4)
-    bound = RangeBound(ex_instance, F, tree_leaves(F))
+    bound = RangeBound(ex_instance, tree_leaves(F))
     spans = bound.root[0]
 
     sets1 = derive_column_sets(bound, spans, 0)
-    assert [a.values for a in sets1.sets] == [(-1, 0, 1)] * 3
+    assert [a.values for a in sets1] == [(-1, 0, 1)] * 3
     x1 = sphere_decode(ex_Y[:, 0], ex_G, 0.5, sets1)[0].x
     assert x1 == (1, 0, 0)
     spans, _ = prune_with_column(bound, spans, 0, x1)
 
     sets2 = derive_column_sets(bound, spans, 1)
-    assert [a.values for a in sets2.sets] == [(1,), (-1, 0, 1), (-1, 0, 1)]
+    assert [a.values for a in sets2] == [(1,), (-1, 0, 1), (-1, 0, 1)]
     x2 = sphere_decode(ex_Y[:, 1], ex_G, 0.5, sets2)[0].x
     assert x2 == (1, -1, 1)
     spans, _ = prune_with_column(bound, spans, 1, x2)
 
     sets3 = derive_column_sets(bound, spans, 2)
-    assert [a.values for a in sets3.sets] == [(-1,), (-1, 0), (0, 1)]
+    assert [a.values for a in sets3] == [(-1,), (-1, 0), (0, 1)]
     x3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets3)[0].x
     assert x3 == (-1, -1, 0)
 
@@ -151,9 +150,7 @@ def test_criterion_5_sphere_oracle_equivalence():
         m = int(rng.integers(n, n + 4))
         G = rng.standard_normal((m, n))
         y = rng.standard_normal(m) * 2.0
-        sets = CandidateSets(
-            tuple(Alphabet(pool[int(rng.integers(len(pool)))]) for _ in range(n))
-        )
+        sets = tuple(Alphabet(pool[int(rng.integers(len(pool)))]) for _ in range(n))
         d = float(rng.uniform(0.3, 3.0))
         mine = sphere_decode(y, G, d, sets)
         ref = oracle_sphere(y, G, d, sets)
@@ -249,7 +246,7 @@ def test_criterion_9_vector_solver_contract():
         assert resid(heur) >= resid(exact) - 1e-12
         # when the unconstrained decode lands inside the feasible set the
         # heuristic must match the exact objective
-        sets = CandidateSets.uniform(S3, l)
+        sets = (S3,) * l
         anchor = sphere_decode(y, G, babai_radius(y, G, sets), sets)[0].x
         if anchor in set(feasible):
             assert abs(resid(heur) - resid(exact)) <= 1e-9

@@ -15,13 +15,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cils.assembler
 from cils import (
     Alphabet,
-    CandidateSets,
     InfeasibleError,
     IntMatrix,
     PreparedLattice,
@@ -61,7 +60,7 @@ NOISY_TIER = SCRIPTS / "noisy_tier.json"
 def ex_bound(ex_instance):
     """A fresh RangeBound of the worked example: its caches start empty."""
     F, _ = solve_diophantine_sparse(ex_instance.A, ex_instance.alphabet, ex_instance.sparsity)
-    return RangeBound(ex_instance, F, tree_leaves(F))
+    return RangeBound(ex_instance, tree_leaves(F))
 
 
 class TestProblemInstance:
@@ -171,7 +170,7 @@ class TestPruningTrace:
 
     def test_initial_sets_are_full_alphabet(self, ex_bound):
         sets = derive_column_sets(ex_bound, ex_bound.root[0], 0)
-        assert [a.values for a in sets.sets] == [(-1, 0, 1)] * 3
+        assert [a.values for a in sets] == [(-1, 0, 1)] * 3
 
     def test_first_column_decode_and_prune(self, ex_bound, ex_Y, ex_G):
         spans = ex_bound.root[0]
@@ -187,7 +186,7 @@ class TestPruningTrace:
     def test_second_column_sets_and_decode(self, ex_bound, ex_Y, ex_G):
         spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
         sets = derive_column_sets(ex_bound, spans, 1)
-        assert [a.values for a in sets.sets] == [(1,), (-1, 0, 1), (-1, 0, 1)]
+        assert [a.values for a in sets] == [(1,), (-1, 0, 1), (-1, 0, 1)]
         z2 = sphere_decode(ex_Y[:, 1], ex_G, 0.5, sets)
         assert z2[0].x == (1, -1, 1)
 
@@ -195,7 +194,7 @@ class TestPruningTrace:
         spans, _ = prune_with_column(ex_bound, ex_bound.root[0], 0, (1, 0, 0))
         spans, _ = prune_with_column(ex_bound, spans, 1, (1, -1, 1))
         sets = derive_column_sets(ex_bound, spans, 2)
-        assert [a.values for a in sets.sets] == [(-1,), (-1, 0), (0, 1)]
+        assert [a.values for a in sets] == [(-1,), (-1, 0), (0, 1)]
         z3 = sphere_decode(ex_Y[:, 2], ex_G, 0.5, sets)
         assert z3[0].x == (-1, -1, 0)
         final, _ = prune_with_column(ex_bound, spans, 2, z3[0].x)
@@ -232,7 +231,7 @@ def bound_over(rows, n_rows):
         lattice=PreparedLattice.from_matrix(np.eye(n_rows)),
         Y=np.zeros((n_rows, n_cols)),
     )
-    return RangeBound(instance, np.array(rows), sorted(rows))
+    return RangeBound(instance, sorted(rows))
 
 
 def range_mask(bound, spans, width):
@@ -273,6 +272,22 @@ def unsorted_rows(draw):
 class TestRowRanges:
     """The ranges into the sorted rows against a plain tuple filter."""
 
+    @given(rows=unsorted_rows(), n_rows=st.integers(1, 4))
+    @example(rows=[(2**70, 0), (0, -(2**70)), (-(2**70), 2**70)], n_rows=2)
+    def test_row_masks_set_one_bit_per_entry(self, rows, n_rows):
+        # row r's mask holds bit k N |S| + t exactly when rows[r][k] == values[t]
+        bound = bound_over(rows, n_rows)
+        values = sorted({v for row in rows for v in row})
+        field = n_rows * len(values)
+        assert bound.rows == tuple(sorted(rows))
+        for row, got in zip(bound.rows, bound.row_masks, strict=True):
+            want = 0
+            for k in range(len(row)):
+                for t, value in enumerate(values):
+                    if row[k] == value:
+                        want |= 1 << (k * field + t)
+            assert got == want
+
     @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
     def test_walk_matches_tuple_filter(self, rows, n_rows, data):
         bound = bound_over(rows, n_rows)
@@ -282,7 +297,7 @@ class TestRowRanges:
         reference = [tuple(rows)] * n_rows
         for j in range(len(rows[0])):
             expected = filter_sets(reference, j)
-            assert [a.values for a in derive_column_sets(bound, spans, j).sets] == expected
+            assert [a.values for a in derive_column_sets(bound, spans, j)] == expected
             x_col = tuple(data.draw(st.sampled_from(vals)) for vals in expected)
             spans, mask = prune_with_column(bound, spans, j, x_col)
             reference = filter_prune(reference, j, x_col)
@@ -309,7 +324,7 @@ class TestRowRanges:
             reference = [tuple(rows)] * n_rows
             for j in range(len(rows[0])):
                 expected = filter_sets(reference, j)
-                assert [a.values for a in derive_column_sets(bound, spans, j).sets] == expected
+                assert [a.values for a in derive_column_sets(bound, spans, j)] == expected
                 if walk == 0:
                     visited.update((j, lo, hi) for lo, hi in spans)
                     choices.append([tuple(data.draw(st.sampled_from(vals)) for vals in expected)
@@ -545,7 +560,7 @@ class TestSolve:
         y = math.sqrt(sys.float_info.max / 2)
         inst = ProblemInstance(Y=np.array([[y, y]]), G=np.array([[1.0]]),
                                A=IntMatrix(((1, -1),)), alphabet=s3, sparsity=2, target_rank=1)
-        d = babai_radius(inst.Y[:, 0], inst.lattice, CandidateSets.uniform(s3, 1))
+        d = babai_radius(inst.Y[:, 0], inst.lattice, (s3,))
         assert inst.n_cols * d * d == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -695,9 +710,9 @@ class TestBoundEdgeShapes:
                            sigma=0.5, seed=300 + k)
             inst, _ = generate_instance(spec)
             assert inst.lattice.Q2t.shape[0] == 0
-            assert not inst.lattice.outside_span(inst.Y).any()
+            assert not (inst.lattice.Q2t @ inst.Y).any()
             F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
-            bound = RangeBound(inst, F, tree_leaves(F))
+            bound = RangeBound(inst, tree_leaves(F))
             assert sum(bound.root[2]) > 0.0
             prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
         assert prunes > 0
@@ -721,7 +736,7 @@ class TestBoundEdgeShapes:
             spec = GenSpec(n_rows=n, n_cols=7, n_meas=n + 2, alphabet=S3, n_constraints=3,
                            sigma=0.8, seed=400 + k)
             inst, _ = generate_instance(spec)
-            assert inst.lattice.outside_span(inst.Y).sum() > 0.0
+            assert np.sum((inst.lattice.Q2t @ inst.Y) ** 2) > 0.0
             prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
         assert prunes > 0
 
@@ -749,7 +764,7 @@ class TestRangeBound:
     @staticmethod
     def bound_of(inst):
         F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
-        return F, RangeBound(inst, F, tree_leaves(F))
+        return F, RangeBound(inst, tree_leaves(F))
 
     @given(inst=degenerate_instances(), data=st.data())
     @settings(max_examples=60)
@@ -759,7 +774,7 @@ class TestRangeBound:
         spans, mask, _ = bound.root
         depth = data.draw(st.integers(0, inst.n_cols - 1), label="depth")
         for j in range(depth):
-            sets = derive_column_sets(bound, spans, j).sets
+            sets = derive_column_sets(bound, spans, j)
             x_col = tuple(data.draw(st.sampled_from(a.values)) for a in sets)
             spans, mask = prune_with_column(bound, spans, j, x_col)
         floors = bound.child(-1, 0, mask, [0.0] * inst.n_cols)

@@ -147,6 +147,14 @@ class TestSpecFiles:
         specs = load_specs(SCRIPTS / "bench_specs.json")
         assert sum(s.trials for s in specs) == 20
 
+    def test_every_spec_file_loads(self):
+        paths = sorted(SCRIPTS.glob("*.json"))
+        assert {p.name for p in paths} >= {
+            "bench_specs.json", "hard_tier.json", "noisy_tier.json", "stretch_tier.json"
+        }
+        for path in paths:
+            assert load_specs(path), path.name
+
     def test_defaults_fill_optional_keys(self, tmp_path):
         path = tmp_path / "specs.json"
         path.write_text('[{"rows": 2, "cols": 5, "meas": 3, "S": [-1, 0, 1]}]', encoding="utf-8")

@@ -12,7 +12,6 @@ import pytest
 from cils import (
     Alphabet,
     BudgetExceededError,
-    CandidateSets,
     IntMatrix,
     InfeasibleError,
     OracleBudget,
@@ -114,22 +113,30 @@ class TestOracleSolve:
 
 class TestOracleSphere:
     def test_worked_example_first_column_minimum(self, ex_Y, ex_G):
-        got = oracle_sphere(ex_Y[:, 0], ex_G, 0.5, CandidateSets.uniform(S3, 3))
+        got = oracle_sphere(ex_Y[:, 0], ex_G, 0.5, (S3,) * 3)
         assert got[0].x == (1, 0, 0)
 
     def test_zero_radius_off_lattice_empty(self):
-        got = oracle_sphere(np.array([0.4, 0.4]), np.eye(2), 0.0, CandidateSets.uniform(S3, 2))
+        got = oracle_sphere(np.array([0.4, 0.4]), np.eye(2), 0.0, (S3,) * 2)
         assert got == []
 
     def test_zero_radius_exact_hit(self):
-        got = oracle_sphere(np.array([1.0, -1.0]), np.eye(2), 0.0, CandidateSets.uniform(S3, 2))
+        got = oracle_sphere(np.array([1.0, -1.0]), np.eye(2), 0.0, (S3,) * 2)
         assert [c.x for c in got] == [(1, -1)]
 
     def test_budget_refusal(self):
-        sets = CandidateSets.uniform(Alphabet(tuple(range(-5, 6))), 8)
+        sets = (Alphabet(tuple(range(-5, 6))),) * 8
         with pytest.raises(BudgetExceededError):
             oracle_sphere(np.zeros(8), np.eye(8), 1.0, sets, OracleBudget(1000))
 
+    def test_shape_mismatch_rejected(self):
+        # worded like sphere_decode's checks; a short y must not broadcast
+        G = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="expected a length-3 vector, got 1"):
+            oracle_sphere(np.array([0.2]), G, 1.0, (S3,) * 2)
+        with pytest.raises(ValueError, match="need 2 candidate sets, got 3"):
+            oracle_sphere(np.zeros(3), G, 1.0, (S3,) * 3)
+
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            oracle_sphere(np.zeros(2), np.eye(2), -1.0, CandidateSets.uniform(S3, 2))
+            oracle_sphere(np.zeros(2), np.eye(2), -1.0, (S3,) * 2)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from cils import (
     Alphabet,
-    CandidateSets,
     IntMatrix,
     PreparedLattice,
     ProblemInstance,
@@ -52,7 +51,7 @@ def random_decode_case(rng, max_n=5, max_set=5):
         base = int(rng.integers(-3, 2))
         vals = sorted(rng.choice(range(base, base + 8), size=size, replace=False))
         sets.append(Alphabet(tuple(int(v) for v in vals)))
-    return y, G, CandidateSets(tuple(sets)), float(rng.uniform(0.3, 3.0))
+    return y, G, tuple(sets), float(rng.uniform(0.3, 3.0))
 
 
 class TestQrPositive:
@@ -113,23 +112,24 @@ class TestPreparedLattice:
             lat.G[0, 0] = 2.0
 
     def test_outside_span_is_least_squares_residual(self):
+        # ||Q2t y||^2 is the least-squares residual: sphere_decode's `base`
         rng = np.random.default_rng(9)
         G = rng.standard_normal((6, 2))
         Y = rng.standard_normal((6, 4))
         fit = G @ np.linalg.lstsq(G, Y, rcond=None)[0]
         want = np.sum((Y - fit) ** 2, axis=0)
-        assert np.allclose(PreparedLattice.from_matrix(G).outside_span(Y), want)
-        assert not PreparedLattice.from_matrix(np.eye(3)).outside_span(np.ones((3, 2))).any()
+        assert np.allclose(np.sum((PreparedLattice.from_matrix(G).Q2t @ Y) ** 2, axis=0), want)
+        assert PreparedLattice.from_matrix(np.eye(3)).Q2t.shape == (0, 3)
 
 
 class TestSphereDecode:
     def test_first_column_of_worked_example(self, ex_Y, ex_G):
-        got = sphere_decode(ex_Y[:, 0], ex_G, 0.5, CandidateSets.uniform(S3, 3))
+        got = sphere_decode(ex_Y[:, 0], ex_G, 0.5, (S3,) * 3)
         assert got[0].x == (1, 0, 0)
         assert got[0].dist2 <= 1e-18
 
     def test_second_column_restricted_sets(self, ex_Y, ex_G):
-        sets = CandidateSets((Alphabet((1,)), S3, S3))
+        sets = ((Alphabet((1,)), S3, S3))
         got = sphere_decode(ex_Y[:, 1], ex_G, 0.5, sets)
         assert got[0].x == (1, -1, 1)
         assert_same_candidates(got, oracle_sphere(ex_Y[:, 1], ex_G, 0.5, sets))
@@ -139,7 +139,7 @@ class TestSphereDecode:
         G = rng.standard_normal((5, 3))
         x0 = (1, -1, 0)
         y = G @ np.array(x0, dtype=float)
-        got = sphere_decode(y, G, 1e-6, CandidateSets.uniform(S3, 3))
+        got = sphere_decode(y, G, 1e-6, (S3,) * 3)
         assert len(got) == 1
         assert got[0].x == x0
         assert got[0].dist2 <= 1e-18
@@ -147,15 +147,15 @@ class TestSphereDecode:
     def test_off_lattice_tiny_radius_empty(self):
         G = np.eye(2)
         y = np.array([0.5, 0.5])
-        assert sphere_decode(y, G, 1e-3, CandidateSets.uniform(S3, 2)) == []
+        assert sphere_decode(y, G, 1e-3, (S3,) * 2) == []
 
     def test_radius_zero_rejected(self):
         with pytest.raises(ValueError):
-            sphere_decode(np.zeros(2), np.eye(2), 0.0, CandidateSets.uniform(S3, 2))
+            sphere_decode(np.zeros(2), np.eye(2), 0.0, (S3,) * 2)
 
     def test_set_count_mismatch_rejected(self, ex_G):
         with pytest.raises(ValueError):
-            sphere_decode(np.zeros(4), ex_G, 1.0, CandidateSets.uniform(S3, 2))
+            sphere_decode(np.zeros(4), ex_G, 1.0, (S3,) * 2)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(21)
@@ -167,7 +167,7 @@ class TestSphereDecode:
 
     def test_gapped_alphabet(self):
         rng = np.random.default_rng(31)
-        sets = CandidateSets((Alphabet((-3, 2)), Alphabet((-2, 0, 5)), Alphabet((1,))))
+        sets = ((Alphabet((-3, 2)), Alphabet((-2, 0, 5)), Alphabet((1,))))
         for _ in range(10):
             G = rng.standard_normal((4, 3))
             y = rng.standard_normal(4) * 3.0
@@ -204,7 +204,7 @@ class TestSphereDecode:
         sigma = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]), label="sigma")
         y = G @ x0 + sigma * rng.standard_normal(m)
         R = data.draw(st.floats(0.05, 4.0), label="R")
-        sets = CandidateSets(tuple(Alphabet(tuple(vals)) for vals in value_sets))
+        sets = tuple(Alphabet(tuple(vals)) for vals in value_sets)
         wide = sphere_decode(y, lattice, R, sets)
         if wide and data.draw(st.booleans(), label="r on a point"):
             # r^2 may round below the point's dist2; the slack keeps it
@@ -252,7 +252,7 @@ class TestSphereDecode:
         d = math.sqrt(float(r @ r))
         if d == 0.0:
             return
-        got = sphere_decode(y, G, d, CandidateSets.uniform(S3, 2))
+        got = sphere_decode(y, G, d, (S3,) * 2)
         assert x0 in [c.x for c in got]
 
     @pytest.mark.parametrize("rel", [1e-12, 1e-10, 1e-8])
@@ -263,7 +263,7 @@ class TestSphereDecode:
         # with that slack alone, and with only an absolute (c eps ||y||)^2
         # added, 28 at 1e-12 and 129-147 at 1e-10 and 1e-8)
         rng = np.random.default_rng(3)
-        sets = CandidateSets.uniform(S3, 3)
+        sets = (S3,) * 3
         for _ in range(300):
             G = rng.standard_normal((4, 3))
             x = rng.integers(-1, 2, size=3)
@@ -281,7 +281,7 @@ class TestBabaiRadius:
         G = rng.standard_normal((4, 3))
         x0 = (0, 1, -1)
         y = G @ np.array(x0, dtype=float)
-        sets = CandidateSets.uniform(S3, 3)
+        sets = (S3,) * 3
         r = babai_radius(y, G, sets)
         assert 0.0 < r < 1e-6
         got = sphere_decode(y, G, r, sets)
@@ -291,14 +291,14 @@ class TestBabaiRadius:
         rng = np.random.default_rng(91)
         G = rng.standard_normal((4, 2))
         y = rng.standard_normal(4)
-        sets = CandidateSets((Alphabet((1,)), Alphabet((-1,))))
+        sets = ((Alphabet((1,)), Alphabet((-1,))))
         fixed = y - G @ np.array([1.0, -1.0])
         want = math.sqrt(float(fixed @ fixed))
         got = babai_radius(y, G, sets)
         assert abs(got - want) <= 1e-8 * max(1.0, want) + 1e-8
 
     def test_decode_at_babai_radius_nonempty(self, ex_Y, ex_G):
-        sets = CandidateSets.uniform(S3, 3)
+        sets = (S3,) * 3
         for j in range(ex_Y.shape[1]):
             r = babai_radius(ex_Y[:, j], ex_G, sets)
             assert sphere_decode(ex_Y[:, j], ex_G, r, sets)
@@ -310,7 +310,7 @@ class TestBabaiRadius:
         # radius alone lost the fit point on most of these (166 of 200 at
         # 1e6, 196-197 from 1e9 up)
         rng = np.random.default_rng(7)
-        sets = CandidateSets.uniform(S3, 3)
+        sets = (S3,) * 3
         for _ in range(200):
             G = rng.integers(-5, 6, size=(4, 3)).astype(float)
             while np.linalg.matrix_rank(G) < 3:
@@ -327,7 +327,7 @@ class TestBabaiRadius:
         for m, n in ((3, 3), (5, 3), (7, 4)):
             G = rng.standard_normal((m, n))
             y = 1.5 * rng.standard_normal(m)
-            sets = CandidateSets.uniform(S5, n)
+            sets = (S5,) * n
             xls = np.linalg.lstsq(G, y, rcond=None)[0]
             snapped = [min(S5.values, key=lambda v: (abs(v - xls[i]), v)) for i in range(n)]
             r = y - G @ np.array(snapped, dtype=float)
@@ -341,13 +341,13 @@ class TestBabaiRadius:
         # a raw G is prepared like sphere_decode's, with no least-squares fallback
         y = np.ones(2)
         with pytest.raises(ValueError):
-            babai_radius(y, np.ones((2, 3)), CandidateSets.uniform(S3, 3))
+            babai_radius(y, np.ones((2, 3)), (S3,) * 3)
         with pytest.raises(np.linalg.LinAlgError):
-            babai_radius(y, np.ones((2, 2)), CandidateSets.uniform(S3, 2))
+            babai_radius(y, np.ones((2, 2)), (S3,) * 2)
 
     def test_radius_at_snap_tie(self):
         # a halfway point is sqrt(0.5) from either snap, whichever way ties go
-        sets = CandidateSets.uniform(S3, 2)
+        sets = (S3,) * 2
         G = np.eye(2)
         y = np.array([-0.5, -0.5])
         r = babai_radius(y, G, sets)
@@ -397,11 +397,12 @@ class TestColumnFloors:
             assume(False)
         Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
         table = FloorTable(lattice, Y, values, allowed)
-        outside = lattice.outside_span(Y)
+        outside = np.sum((lattice.Q2t @ Y) ** 2, axis=0)
         for k, mask in enumerate(allowed):
             vk = [v for v, ok in zip(values, mask) if ok]
             full = table.floor(k, row_mask(values, [vk] * n))
-            assert full == table.floors[k][0]
+            # a mask of every bit holds every point of V_k^N
+            assert full == table.floor(k, (1 << n * len(values)) - 1)
             assert_floor_matches(full, brute_floor(G, Y[:, k], [vk] * n), outside[k])
             sets = [
                 data.draw(st.lists(st.sampled_from(vk), min_size=1, unique=True), label="set")
@@ -426,8 +427,8 @@ class TestColumnFloors:
         value_sets = [sorted(set(F[:, k])) for k in range(5)]
         assert value_sets[0] == [0]
         feasible = tree_leaves(F)
-        _, _, floors = RangeBound(inst, F, feasible).root
-        outside = inst.lattice.outside_span(inst.Y)
+        _, _, floors = RangeBound(inst, feasible).root
+        outside = np.sum((inst.lattice.Q2t @ inst.Y) ** 2, axis=0)
         want = [brute_floor(inst.G, inst.Y[:, k], [vk] * 2) for k, vk in enumerate(value_sets)]
         for got, b, o in zip(floors, want, outside):
             assert_floor_matches(got, b, o)
@@ -442,8 +443,8 @@ class TestColumnFloors:
         allowed = np.array([[True, False, True], [True, True, True], [False, False, True]])
         table = FloorTable(lattice, Y, (-1, 0, 1), allowed)
         for k in range(3):
-            assert 0.5 * (1.0 - 1e-8) <= table.floors[k][0] <= 0.5
-        assert not lattice.outside_span(Y).any()
+            assert 0.5 * (1.0 - 1e-8) <= table.floor(k, (1 << 6) - 1) <= 0.5
+        assert lattice.Q2t.shape == (0, 2)
 
     @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12, 1e15])
     def test_floor_never_exceeds_decoder_distance(self, scale):
@@ -519,7 +520,7 @@ class TestColumnFloors:
         levels = sorted({cost for cost, _ in held})
         i = data.draw(st.integers(0, len(levels) - 1), label="level")
         b = (levels[i] + levels[i + 1]) / 2 if i + 1 < len(levels) else 2.0 * levels[i] + 1.0
-        sets = CandidateSets(tuple(Alphabet(tuple(vals)) for vals in value_sets))
+        sets = tuple(Alphabet(tuple(vals)) for vals in value_sets)
         got = sphere_decode(Y[:, k], lattice, math.sqrt(b), sets)
         assert_same_candidates(got, [SphereCandidate(x, cost) for cost, x in held if cost < b])
 
@@ -533,7 +534,7 @@ class TestColumnFloors:
             table = FloorTable(lattice, np.zeros((n + 1, 1)), values, np.ones((1, 5), dtype=bool))
             assert table.costs[0][1] == table.costs[0][2]
             want = sphere_decode(np.zeros(n + 1), lattice, math.sqrt(table.costs[0][-1]) + 1.0,
-                                 CandidateSets.uniform(Alphabet(values), n))
+                                 (Alphabet(values),) * n)
             assert table.points[0] == [c.x for c in want]
 
     def test_bad_inputs_rejected(self):
