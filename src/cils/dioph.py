@@ -6,20 +6,32 @@ reduced to Hermite normal form.  The partial assignments form one frontier,
 an n x L integer array whose column c holds coordinate c, plus a per-row
 nonzero count; it is extended one column at a time from the last column to
 the first.  A column that is the pivot of an HNF row is imputed on every
-row at once by exact division; any other column is expanded freely, one
-block of rows per alphabet value.  The nonzero budget is enforced on every
-partial row, which is what keeps the frontier small.
+row at once by exact division; any other column is expanded over the
+alphabet.
+
+The frontier also carries s, what the target row (the HNF row whose pivot
+comes next) still needs from its unassigned columns.  At a free column every
+(value, row) child's s and nonzero count are formed as one |S| x n array,
+and a child is kept only if |s| is within reach: at most max|S| times the
+sum of the K - nz largest |h_k| over the target's unassigned columns, K
+being the nonzero budget and nz the child's count.  Only the survivors are
+built, so the budget and the target row prune together before the next
+pivot's exact division does.  This is the bounded-variable reachability
+argument of Aardal, Hurkens & Lenstra (Math. Oper. Res. 2000) with the
+nonzero budget added.  At the pivot, s is the numerator of the imputed
+value, and the next HNF row becomes the target.
 
 Entries use the smallest signed integer dtype that holds the alphabet (int8
-for the usual small alphabets), and each pivot's numerator uses int64 when
-its magnitude is provably below 2**62; either falls back to Python-int
-object arrays, so results stay exact for any input.
+for the usual small alphabets), and s uses int64 when its magnitude is
+provably below 2**62; either falls back to Python-int object arrays, so
+results stay exact for any input.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,6 +85,49 @@ def _entry_dtype(values: tuple[int, ...]) -> np.dtype:
     return np.dtype(object)
 
 
+def _target(
+    row: IntVector,
+    start: int,
+    states: np.ndarray,
+    max_abs: int,
+    max_nonzeros: int,
+    entry_dtype: np.dtype,
+) -> tuple[int, np.ndarray, dict[int, np.ndarray]]:
+    """(pivot, s, reach) for an HNF row that becomes the target at column start.
+
+    s holds -sum_{k>=start} row_k x_k on every frontier row: what the
+    unassigned columns pivot..start-1 must sum to, so at the pivot it is the
+    numerator of the imputed value.  For each free column c between pivot
+    and start, reach[c][nz] is the largest |s| that the columns pivot..c-1
+    can still cancel once c is assigned and a child has nz nonzeros: max|S|
+    times the sum of the max_nonzeros - nz largest |row_k| there, and -1 at
+    nz = max_nonzeros + 1 so that a child over the budget fails the same
+    test.  s and reach are int64 when max|S| times sum_{k>=pivot} |row_k|,
+    which bounds |s|, every reach entry, the pivot entry and every
+    coefficient, is provably below 2**62, else Python-int objects.  A zero
+    row has pivot -1 and s = 0, so its reach filters on the budget alone.
+    """
+    pivot = next((j for j, v in enumerate(row) if v != 0), -1)
+    # max(max_abs, 1): the coefficients must fit even when max|S| is 0
+    bound = max(max_abs, 1) * sum(map(abs, row[pivot:]))
+    if entry_dtype != object and bound < _INT64_SAFE:
+        dtype = np.dtype(np.int64)
+    else:
+        dtype = np.dtype(object)
+    s = np.zeros(len(states), dtype=dtype)
+    for c in range(start, len(row)):
+        if row[c]:
+            s -= np.multiply(states[:, c], row[c], dtype=dtype)
+    reach = {}
+    for c in range(pivot + 1, start):
+        mags = sorted(map(abs, row[max(pivot, 0) : c]), reverse=True)[:max_nonzeros]
+        sums = [max_abs * m for m in accumulate(mags, initial=0)]
+        # entry nz is sums[min(max_nonzeros - nz, len(mags))]
+        pad = sums[-1:] * (max_nonzeros - len(mags))
+        reach[c] = np.array(pad + sums[::-1] + [-1], dtype=dtype)
+    return pivot, s, reach
+
+
 def solve_diophantine_sparse(
     A: IntMatrix, alphabet: Alphabet, max_nonzeros: int
 ) -> tuple[np.ndarray, DiophStats]:
@@ -82,11 +137,13 @@ def solve_diophantine_sparse(
     0: a column that is the pivot of an HNF row is imputed from that row,
     any other column is expanded over the alphabet.  HNF pivots strictly
     increase, so each row is met once, after every column right of its pivot
-    is assigned.  Returns F, the |F| x L array of solutions (one per row, in
-    no particular order; see tree_leaves), and stats with the number of
-    candidate nodes examined (|S| per frontier row at a free column, one per
-    row at a pivot column) and |F|.  The zero vector is always feasible, so
-    F is nonempty unless the alphabet excludes 0.
+    is assigned.  At a free column a child is kept only if the target row
+    (the next pivot's) can still cancel its assigned part within the budget.
+    Returns F, the |F| x L array of solutions (one per row, in no particular
+    order; see tree_leaves), and stats with the number of candidate nodes
+    examined (|S| per frontier row at a free column, one per row at a pivot
+    column, counted before any filter) and |F|.  The zero vector is always
+    feasible, so F is nonempty unless the alphabet excludes 0.
     """
     if max_nonzeros < 0:
         raise ValueError("nonzero budget must be nonnegative")
@@ -96,12 +153,9 @@ def solve_diophantine_sparse(
         )
     n_cols = A.cols
     H = hermite_normal_form(A).H
-    pivot_rows: dict[int, IntVector] = {}
-    for i in range(H.rows):
-        row = H.row(i)
-        pivot_col = next((j for j, v in enumerate(row) if v != 0), None)
-        if pivot_col is not None:
-            pivot_rows[pivot_col] = row
+    # nonzero HNF rows in the order the walk meets their pivots, then a zero
+    # row that stands in once every pivot is imputed
+    targets = iter([row for row in reversed(H.entries) if any(row)] + [(0,) * n_cols])
     values = alphabet.values
     dtype = _entry_dtype(values)
     # searchsorted gives len(values) past the largest value, where the
@@ -109,44 +163,39 @@ def solve_diophantine_sparse(
     lookup = np.array(values + values[-1:], dtype=dtype)
     sorted_values = lookup[:-1]
     max_abs = max(-values[0], values[-1])
-    nonzero = np.array([v for v in values if v != 0], dtype=dtype)
-    has_zero = 0 in alphabet
     states = np.zeros((1, n_cols), dtype=dtype)
-    # nz reaches max_nonzeros + 1 only in a rejected pivot candidate
+    # nz reaches max_nonzeros + 1 only in a rejected candidate
     nz = np.zeros(1, dtype=np.min_scalar_type(max_nonzeros + 1))
+    values_col = sorted_values[:, None]
+    nz_step = (values_col != 0).astype(nz.dtype)
+    h = next(targets)
+    pivot, s, reach = _target(h, n_cols, states, max_abs, max_nonzeros, dtype)
     visited = 0
     for col in range(n_cols - 1, -1, -1):
         n = len(states)
-        row = pivot_rows.get(col)
-        if row is None:
+        if col != pivot:
+            # every (value, row) child at once; only the survivors are built
             visited += n * len(values)
-            grow = nz < max_nonzeros
-            grown, grown_nz = states[grow], nz[grow]
-            head, head_nz = ([states], [nz]) if has_zero else ([], [])
-            states = np.concatenate(head + [grown] * len(nonzero))
-            new = states[len(head) * n :]
-            new.reshape(len(nonzero), len(grown), n_cols)[:, :, col] = nonzero[:, None]
-            nz = np.concatenate(head_nz + [grown_nz + 1] * len(nonzero))
+            child_s = s - np.multiply(values_col, h[col], dtype=s.dtype)
+            child_nz = nz + nz_step
+            which, parent = (abs(child_s) <= reach[col][child_nz]).nonzero()
+            states = states[parent]
+            states[:, col] = sorted_values[which]
+            s = child_s[which, parent]
+            nz = child_nz[which, parent]
             continue
         visited += n
-        den = row[col]
-        support = [(c, row[c]) for c in range(col + 1, n_cols) if row[c] != 0]
-        bound = max_abs * sum(abs(coeff) for _, coeff in support)
-        if dtype != object and max(bound, den) < _INT64_SAFE:
-            num_dtype = np.dtype(np.int64)
-        else:
-            num_dtype = np.dtype(object)
-        num = np.zeros(n, dtype=num_dtype)
-        for c, coeff in support:
-            num -= np.multiply(states[:, c], coeff, dtype=num_dtype)
-        exact = (num % den == 0).nonzero()[0]
-        val = num[exact] // den
+        den = h[col]
+        exact = (s % den == 0).nonzero()[0]
+        val = s[exact] // den
         member = lookup[sorted_values.searchsorted(val)] == val
         nz2 = nz[exact] + (val != 0)
         keep = member & (nz2 <= max_nonzeros)
         states = states[exact[keep]]
         states[:, col] = val[keep]
         nz = nz2[keep]
+        h = next(targets)
+        pivot, s, reach = _target(h, col, states, max_abs, max_nonzeros, dtype)
     return states, DiophStats(nodes_visited=visited, leaves=len(states))
 
 

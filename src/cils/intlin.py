@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,22 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class HnfResult:
-    """Row-style Hermite normal form H together with the transform U, H = U A."""
+    """Row-style Hermite normal form H of A, and the unimodular U with H = U A.
+
+    U is computed on first access by repeating the elimination on [A | I];
+    the enumeration reads only H, so a solve never pays for U.
+    """
 
     H: IntMatrix
-    U: IntMatrix
+    A: IntMatrix
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        nc, nr = self.A.cols, self.A.rows
+        # eliminate on the rows of [A | I]: the right block accumulates U
+        W = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(self.A.entries)]
+        _eliminate(W, nc)
+        return IntMatrix(tuple(tuple(row[nc:]) for row in W))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,14 +104,24 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def hermite_normal_form(A: IntMatrix) -> HnfResult:
     """Compute the canonical row-style Hermite normal form of A.
 
-    Returns H and a unimodular U with H = U A.  H is upper echelon, pivots
-    are positive, entries above each pivot are reduced into [0, pivot), and
-    zero rows sit at the bottom.  Eliminations use extended-gcd 2x2 row
-    transforms, which keeps every intermediate value an exact integer.
+    Returns H, with a unimodular U (computed on first access) such that
+    H = U A.  H is upper echelon, pivots are positive, entries above each
+    pivot are reduced into [0, pivot), and zero rows sit at the bottom.
+    Eliminations use extended-gcd 2x2 row transforms, which keeps every
+    intermediate value an exact integer.
     """
-    nr, nc = A.rows, A.cols
-    # eliminate on the rows of [A | I]: the right block accumulates U
-    W = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(A.entries)]
+    W = [list(row) for row in A.entries]
+    _eliminate(W, A.cols)
+    return HnfResult(IntMatrix(tuple(map(tuple, W))), A)
+
+
+def _eliminate(W: list[list[int]], nc: int) -> None:
+    """Bring the rows W to Hermite normal form on their first nc columns, in place.
+
+    Every row operation is decided by those columns alone, so entries past
+    nc are carried along without changing the result on the first nc.
+    """
+    nr = len(W)
     r = 0
     for c in range(nc):
         if r == nr:
@@ -124,10 +147,6 @@ def hermite_normal_form(A: IntMatrix) -> HnfResult:
             if q:
                 W[j] = [x - q * y for x, y in zip(W[j], W[r])]
         r += 1
-    return HnfResult(
-        IntMatrix(tuple(tuple(row[:nc]) for row in W)),
-        IntMatrix(tuple(tuple(row[nc:]) for row in W)),
-    )
 
 
 def validate_hnf(H: IntMatrix, U: IntMatrix, A: IntMatrix) -> bool:

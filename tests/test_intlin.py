@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cils import (
@@ -85,6 +85,24 @@ class TestHermiteNormalForm:
         res = hermite_normal_form(IntMatrix.identity(3))
         assert res.H == IntMatrix.identity(3)
         assert res.U == IntMatrix.identity(3)
+
+    def test_transform_computed_on_first_access(self, ex_A):
+        res = hermite_normal_form(ex_A)
+        assert isinstance(res, HnfResult)
+        assert "U" not in vars(res)
+        # the transform the single elimination on [A | I] produced
+        assert res.U.entries == ((2, 1, 1, -10), (4, 2, -1, -19), (3, 1, -2, -12), (5, 2, -2, -22))
+        assert res.U is res.U
+
+    @given(int_matrices)
+    def test_transform_matches_one_elimination_beside_identity(self, A):
+        # with full row rank every pivot lies in A's columns, so the HNF of
+        # [A | I] is H beside the U of the same elimination
+        assume(int_rank(A) == A.rows)
+        res = hermite_normal_form(A)
+        eye = IntMatrix.identity(A.rows).entries
+        full = hermite_normal_form(IntMatrix(tuple(a + e for a, e in zip(A.entries, eye)))).H
+        assert full.entries == tuple(h + u for h, u in zip(res.H.entries, res.U.entries))
 
     def test_reference_pair_validates(self):
         assert validate_hnf(IntMatrix(H_REF_ROWS), IntMatrix(U_REF_ROWS), IntMatrix(A_ROWS))
