@@ -27,7 +27,7 @@ from .dioph import (
     tree_leaves,
 )
 from .harness import GenSpec, GenerationError, generate_instance, load_specs, run_bench
-from .intlin import HnfResult, IntMatrix, hermite_normal_form, int_det, int_rank, validate_hnf
+from .intlin import IntMatrix, hermite_decomposition, hermite_normal_form, int_rank, validate_hnf
 from .oracle import BudgetExceededError, OracleBudget, oracle_F, oracle_solve, oracle_sphere
 from .spheredec import (
     PreparedLattice,
@@ -45,7 +45,6 @@ __all__ = [
     "DiophStats",
     "GenSpec",
     "GenerationError",
-    "HnfResult",
     "InfeasibleError",
     "IntMatrix",
     "IntVector",
@@ -57,8 +56,8 @@ __all__ = [
     "SphereCandidate",
     "babai_radius",
     "generate_instance",
+    "hermite_decomposition",
     "hermite_normal_form",
-    "int_det",
     "int_rank",
     "load_specs",
     "objective",

@@ -201,9 +201,9 @@ class SolveStats:
     counts the cuts the bound made: a column read the bound stopped after it
     took a candidate (once per read, however many points it left unread), a
     child whose own floors over the columns after its parent's reached the
-    best objective (or the cap), or a column whose remaining budget was
-    already spent.  `sphere_calls` counts the sphere_decode calls a solve
-    makes; the search reads the table instead, so it is 0.
+    best objective (or the cap), or a pass whose cap the root's floors over
+    columns 1.. already reach.  `sphere_calls` counts the sphere_decode
+    calls a solve makes; the search reads the table instead, so it is 0.
     """
 
     dioph_nodes: int = 0
@@ -492,9 +492,6 @@ def _search(
                 best_obj = obj
                 best_X = X
             return
-        if best_obj - acc - rest <= 0.0:
-            stats.bound_prunes += 1
-            return
         stats.column_reads += 1
         key = (mask >> (j * field)) & full
         candidates = reads[j].get(key)
@@ -528,7 +525,13 @@ def _search(
             stats.empty_decodes += 1
 
     spans, mask, floors = bound.root
-    recurse(0, spans, 0.0, mask, floors, sum(floors[1:]))
+    rest = sum(floors[1:])
+    # a child is entered only when acc + its floors stay below the best
+    # objective, so the spent budget can show only here, at the root
+    if cap - rest <= 0.0:
+        stats.bound_prunes += 1
+        return None
+    recurse(0, spans, 0.0, mask, floors, rest)
     if best_X is None:
         return None
     return best_obj, best_X

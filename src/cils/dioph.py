@@ -152,7 +152,7 @@ def solve_diophantine_sparse(
             f"nonzero budget {max_nonzeros} exceeds vector length {A.cols}"
         )
     n_cols = A.cols
-    H = hermite_normal_form(A).H
+    H = hermite_normal_form(A)
     # nonzero HNF rows in the order the walk meets their pivots, then a zero
     # row that stands in once every pivot is imputed
     targets = iter([row for row in reversed(H.entries) if any(row)] + [(0,) * n_cols])

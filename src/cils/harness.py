@@ -32,7 +32,7 @@ import numpy as np
 
 from .assembler import ProblemInstance, SolveResult, solve, verify_solution
 from .dioph import Alphabet, IntVector
-from .intlin import IntMatrix, hermite_normal_form, int_rank
+from .intlin import IntMatrix, hermite_decomposition, int_rank
 
 _MAX_ATTEMPTS = 50
 
@@ -190,12 +190,8 @@ def _constraint_matrix(
     transform rows aligned with zero rows of the echelon form span exactly the
     integer vectors orthogonal to every planted row.
     """
-    hnf = hermite_normal_form(planted.transpose())
-    basis = [
-        hnf.U.row(i)
-        for i in range(hnf.H.rows)
-        if all(v == 0 for v in hnf.H.row(i))
-    ]
+    H, U = hermite_decomposition(planted.transpose())
+    basis = [u for h, u in zip(H.entries, U.entries) if not any(h)]
     rows: list[IntVector] = []
     for _ in range(spec.n_constraints):
         if not basis:

@@ -1,17 +1,18 @@
-"""Exact integer linear algebra: Hermite normal form, rank, determinant.
+"""Exact integer linear algebra: Hermite normal form and rank.
 
 Everything here runs on Python's arbitrary-precision ints, so there is no
 overflow and no floating-point round-off anywhere in this module.  The rest
 of the package relies on that: feasible-set enumeration reduces constraint
-matrices with `hermite_normal_form`, and the rank constraint on assembled
-solutions is checked with `int_rank`.
+matrices with `hermite_normal_form` (H alone), instance generation reads
+the unimodular transform off `hermite_decomposition` (H and U from one
+elimination on [A | I]), and the rank constraint on assembled solutions is
+checked with `int_rank`.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(tuple((0,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
 
@@ -66,26 +64,6 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
-class HnfResult:
-    """Row-style Hermite normal form H of A, and the unimodular U with H = U A.
-
-    U is computed on first access by repeating the elimination on [A | I];
-    the enumeration reads only H, so a solve never pays for U.
-    """
-
-    H: IntMatrix
-    A: IntMatrix
-
-    @cached_property
-    def U(self) -> IntMatrix:
-        nc, nr = self.A.cols, self.A.rows
-        # eliminate on the rows of [A | I]: the right block accumulates U
-        W = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(self.A.entries)]
-        _eliminate(W, nc)
-        return IntMatrix(tuple(tuple(row[nc:]) for row in W))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
     old_r, r = a, b
@@ -101,18 +79,31 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hermite_normal_form(A: IntMatrix) -> HnfResult:
-    """Compute the canonical row-style Hermite normal form of A.
+def hermite_normal_form(A: IntMatrix) -> IntMatrix:
+    """Compute the canonical row-style Hermite normal form H of A.
 
-    Returns H, with a unimodular U (computed on first access) such that
-    H = U A.  H is upper echelon, pivots are positive, entries above each
-    pivot are reduced into [0, pivot), and zero rows sit at the bottom.
-    Eliminations use extended-gcd 2x2 row transforms, which keeps every
-    intermediate value an exact integer.
+    H is upper echelon, pivots are positive, entries above each pivot are
+    reduced into [0, pivot), and zero rows sit at the bottom.  Eliminations
+    use extended-gcd 2x2 row transforms, which keeps every intermediate value
+    an exact integer.
     """
     W = [list(row) for row in A.entries]
     _eliminate(W, A.cols)
-    return HnfResult(IntMatrix(tuple(map(tuple, W))), A)
+    return IntMatrix(tuple(map(tuple, W)))
+
+
+def hermite_decomposition(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """H = hermite_normal_form(A) and the unimodular U with H = U A.
+
+    One elimination on the rows of [A | I]: its row operations are decided by
+    A's columns alone, so the left block becomes H and the right block
+    accumulates U.
+    """
+    nc = A.cols
+    W = [list(row) + [int(i == j) for j in range(A.rows)] for i, row in enumerate(A.entries)]
+    _eliminate(W, nc)
+    H = IntMatrix(tuple(tuple(row[:nc]) for row in W))
+    return H, IntMatrix(tuple(tuple(row[nc:]) for row in W))
 
 
 def _eliminate(W: list[list[int]], nc: int) -> None:
@@ -167,7 +158,8 @@ def validate_hnf(H: IntMatrix, U: IntMatrix, A: IntMatrix) -> bool:
         )
     if U @ A != H:
         return False
-    if abs(int_det(U)) != 1:
+    # a square integer matrix is unimodular exactly when its HNF is I
+    if hermite_normal_form(U) != IntMatrix.identity(U.rows):
         return False
     last_pivot = -1
     seen_zero_row = False
@@ -207,28 +199,3 @@ def int_rank(M: IntMatrix) -> int:
         rank += 1
     return rank
 
-
-def int_det(M: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    if M.rows != M.cols:
-        raise ValueError(f"determinant requires a square matrix, got {M.rows}x{M.cols}")
-    n = M.rows
-    m = [list(row) for row in M.entries]
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col]
-            row_r, row_p = m[r], m[col]
-            for c2 in range(col + 1, n):
-                row_r[c2] = (p * row_r[c2] - f * row_p[c2]) // prev
-            row_r[col] = 0
-        prev = p
-    return sign * m[n - 1][n - 1]

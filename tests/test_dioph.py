@@ -47,7 +47,7 @@ def reference_enumeration(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
     """
     n_cols = A.cols
     pivot_rows = {}
-    for row in hermite_normal_form(A).H.entries:
+    for row in hermite_normal_form(A).entries:
         pivot_col = next((j for j, v in enumerate(row) if v != 0), None)
         if pivot_col is not None:
             pivot_rows[pivot_col] = row

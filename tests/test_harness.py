@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cils.harness
+import cils.intlin
 from cils import (
     Alphabet,
     GenSpec,
@@ -24,6 +26,7 @@ from cils import (
 from cils.harness import load_specs, trial_seeds
 
 S3 = Alphabet((-1, 0, 1))
+S5 = Alphabet((-2, -1, 0, 1, 2))
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -114,6 +117,59 @@ class TestGenerateInstance:
         inst, _ = generate_instance(small_spec(n_constraints=4))
         assert inst.A.rows == 4
         assert inst.A.cols == 5
+
+    def test_s3_instance_pinned(self):
+        # perfbench's references are solves of generated instances, so the
+        # complement basis and its order are pinned here too
+        inst, planted = generate_instance(small_spec())
+        assert planted.entries == ((0, 0, 0, 1, 0), (0, -1, 0, 0, 1))
+        assert inst.A.entries == (
+            (0, -3, -3, 0, -3),
+            (-2, -2, 2, 0, -2),
+            (0, 3, 2, 0, 3),
+            (0, 0, 2, 0, 0),
+            (2, -3, -1, 0, -3),
+            (-1, 1, 2, 0, 1),
+            (0, 0, 2, 0, 0),
+        )
+
+    def test_s5_instance_pinned(self):
+        spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S5, sparsity=4, sigma=0.5, seed=7)
+        inst, planted = generate_instance(spec)
+        assert planted.entries == (
+            (0, 0, -1, -2, 2, -1, 0),
+            (-1, 0, 2, 0, -1, 0, -1),
+            (0, 1, 0, 1, 0, 1, 0),
+        )
+        assert inst.A.entries == (
+            (-3, -3, 0, 1, 2, 2, 1),
+            (-1, -1, -1, -2, -1, 3, 0),
+            (7, 2, 6, 0, 2, -2, 3),
+            (-19, -1, -11, 4, -3, -3, 0),
+            (0, 3, 0, -3, -3, 0, 3),
+            (10, 0, 7, -3, 2, 3, 2),
+            (-2, -1, -2, 1, 0, 0, -2),
+        )
+
+    def test_one_elimination_per_attempt(self, monkeypatch):
+        calls = {"eliminate": 0, "attempts": 0}
+        eliminate, constraint_matrix = cils.intlin._eliminate, cils.harness._constraint_matrix
+
+        def count_eliminate(*args):
+            calls["eliminate"] += 1
+            return eliminate(*args)
+
+        def count_attempt(*args):
+            calls["attempts"] += 1
+            return constraint_matrix(*args)
+
+        monkeypatch.setattr(cils.intlin, "_eliminate", count_eliminate)
+        monkeypatch.setattr(cils.harness, "_constraint_matrix", count_attempt)
+        for seed in range(5):
+            generate_instance(small_spec(seed=seed))
+            generate_instance(GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S5, seed=seed))
+        assert calls["attempts"] >= 10
+        assert calls["eliminate"] == calls["attempts"]
 
 
 class TestTrialSeeds:

@@ -2,8 +2,9 @@
 
 Expected values come from three independent sources: the hand-checked 4x7
 worked example (decomposition pinned in conftest), sympy as a computer
-algebra reference, and a local rational-elimination rank oracle written
-directly against fractions.Fraction.
+algebra reference (determinants included, for the unimodularity check), and
+a local rational-elimination rank oracle written directly against
+fractions.Fraction.
 """
 
 import itertools
@@ -16,10 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cils import (
-    HnfResult,
     IntMatrix,
+    hermite_decomposition,
     hermite_normal_form,
-    int_det,
     int_rank,
     validate_hnf,
 )
@@ -82,27 +82,26 @@ class TestIntMatrix:
 
 class TestHermiteNormalForm:
     def test_identity(self):
-        res = hermite_normal_form(IntMatrix.identity(3))
-        assert res.H == IntMatrix.identity(3)
-        assert res.U == IntMatrix.identity(3)
+        H, U = hermite_decomposition(IntMatrix.identity(3))
+        assert H == IntMatrix.identity(3)
+        assert U == IntMatrix.identity(3)
+        assert hermite_normal_form(IntMatrix.identity(3)) == IntMatrix.identity(3)
 
-    def test_transform_computed_on_first_access(self, ex_A):
-        res = hermite_normal_form(ex_A)
-        assert isinstance(res, HnfResult)
-        assert "U" not in vars(res)
-        # the transform the single elimination on [A | I] produced
-        assert res.U.entries == ((2, 1, 1, -10), (4, 2, -1, -19), (3, 1, -2, -12), (5, 2, -2, -22))
-        assert res.U is res.U
+    def test_decomposition_h_is_the_normal_form(self, ex_A):
+        H, U = hermite_decomposition(ex_A)
+        assert H == hermite_normal_form(ex_A)
+        # the transform the single elimination on [A | I] produces
+        assert U.entries == ((2, 1, 1, -10), (4, 2, -1, -19), (3, 1, -2, -12), (5, 2, -2, -22))
 
     @given(int_matrices)
     def test_transform_matches_one_elimination_beside_identity(self, A):
         # with full row rank every pivot lies in A's columns, so the HNF of
         # [A | I] is H beside the U of the same elimination
         assume(int_rank(A) == A.rows)
-        res = hermite_normal_form(A)
+        H, U = hermite_decomposition(A)
         eye = IntMatrix.identity(A.rows).entries
-        full = hermite_normal_form(IntMatrix(tuple(a + e for a, e in zip(A.entries, eye)))).H
-        assert full.entries == tuple(h + u for h, u in zip(res.H.entries, res.U.entries))
+        full = hermite_normal_form(IntMatrix(tuple(a + e for a, e in zip(A.entries, eye))))
+        assert full.entries == tuple(h + u for h, u in zip(H.entries, U.entries))
 
     def test_reference_pair_validates(self):
         assert validate_hnf(IntMatrix(H_REF_ROWS), IntMatrix(U_REF_ROWS), IntMatrix(A_ROWS))
@@ -110,7 +109,7 @@ class TestHermiteNormalForm:
     def test_reference_pair_is_not_canonical(self):
         # its last nonzero row has pivot -18; our output normalizes signs
         assert H_REF_ROWS[3][5] == -18
-        ours = hermite_normal_form(IntMatrix(A_ROWS)).H
+        ours = hermite_normal_form(IntMatrix(A_ROWS))
         pivots = []
         for row in ours.entries:
             nz = [v for v in row if v != 0]
@@ -119,11 +118,11 @@ class TestHermiteNormalForm:
         assert all(p > 0 for p in pivots)
 
     def test_own_output_validates_on_worked_example(self, ex_A):
-        res = hermite_normal_form(ex_A)
-        assert validate_hnf(res.H, res.U, ex_A)
+        H, U = hermite_decomposition(ex_A)
+        assert validate_hnf(H, U, ex_A)
 
     def test_reduction_above_pivots(self, ex_A):
-        H = hermite_normal_form(ex_A).H
+        H = hermite_normal_form(ex_A)
         for r, row in enumerate(H.entries):
             piv_col = next((j for j, v in enumerate(row) if v != 0), None)
             if piv_col is None:
@@ -148,21 +147,22 @@ class TestHermiteNormalForm:
 
     @given(int_matrices)
     def test_random_validates_and_matches_sympy(self, A):
-        res = hermite_normal_form(A)
-        assert validate_hnf(res.H, res.U, A)
+        H, U = hermite_decomposition(A)
+        assert H == hermite_normal_form(A)
+        assert validate_hnf(H, U, A)
         # row-space equality against sympy: stacking our H on A must not
         # raise the rank, and both must agree on the rank itself
         sy_A = sympy.Matrix(A.entries)
-        sy_H = sympy.Matrix(res.H.entries)
+        sy_H = sympy.Matrix(H.entries)
         stacked = sy_A.col_join(sy_H)
         assert sy_A.rank() == sy_H.rank() == stacked.rank()
-        assert abs(sympy.Matrix(res.U.entries).det()) == 1
+        assert abs(sympy.Matrix(U.entries).det()) == 1
 
     def test_sympy_hnf_of_transpose_agrees_on_row_space(self, ex_A):
         from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
         # sympy's routine works column-style, so feed it the transpose
-        ours = hermite_normal_form(ex_A).H
+        ours = hermite_normal_form(ex_A)
         ref = sympy_hnf(sympy.Matrix(ex_A.transpose().entries)).T
         stacked = sympy.Matrix(ours.entries).col_join(ref)
         assert stacked.rank() == sympy.Matrix(ours.entries).rank() == ref.rank()
@@ -172,7 +172,7 @@ class TestHermiteNormalForm:
     def test_nullspace_preserved_small(self, A):
         if A.cols > 4:
             return
-        H = hermite_normal_form(A).H
+        H = hermite_normal_form(A)
         for x in itertools.product((-1, 0, 1), repeat=A.cols):
             in_a = all(sum(a * v for a, v in zip(row, x)) == 0 for row in A.entries)
             in_h = all(sum(h * v for h, v in zip(row, x)) == 0 for row in H.entries)
@@ -204,30 +204,57 @@ class TestIntRank:
     @given(int_matrices)
     @settings(max_examples=25)
     def test_invariant_under_unimodular_transform(self, A):
-        U = hermite_normal_form(
+        _, U = hermite_decomposition(
             IntMatrix(tuple(tuple((i * 3 + j * 5 + 1) % 7 - 3 for j in range(A.rows)) for i in range(A.rows)))
-        ).U
-        assert abs(int_det(U)) == 1
+        )
+        assert abs(sympy.Matrix(U.entries).det()) == 1
         assert int_rank(U @ A) == int_rank(A)
 
 
-class TestIntDet:
+# square matrices that are often unimodular: small entries, or the transform
+# of a random matrix's Hermite decomposition
+square_matrices = st.one_of(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ).map(lambda rows: IntMatrix(tuple(tuple(r) for r in rows))),
+    int_matrices.map(lambda A: hermite_decomposition(A)[1]),
+)
+
+
+class TestUnimodularity:
+    """validate_hnf's check that U is unimodular, i.e. that its HNF is I.
+
+    With A a zero column, H = U A is zero and trivially echelon, so
+    validate_hnf(0, U, 0) holds exactly when U is unimodular.
+    """
+
     def test_identity(self):
-        assert int_det(IntMatrix.identity(4)) == 1
+        assert validate_hnf(IntMatrix.zeros(4, 1), IntMatrix.identity(4), IntMatrix.zeros(4, 1))
 
-    def test_singular(self):
-        assert int_det(IntMatrix(((1, 2), (2, 4)))) == 0
+    def test_singular_transform_rejected(self):
+        U = IntMatrix(((1, 2), (2, 4)))
+        assert not validate_hnf(IntMatrix.zeros(2, 1), U, IntMatrix.zeros(2, 1))
 
-    def test_non_square_raises(self):
-        with pytest.raises(ValueError):
-            int_det(IntMatrix(((1, 2, 3),)))
+    def test_determinant_two_transform_rejected(self):
+        # H = U A is in echelon form, so only the unimodularity check can fail
+        U = IntMatrix(((2, 0), (0, 1)))
+        A = IntMatrix.identity(2)
+        assert U @ A == U
+        assert not validate_hnf(U, U, A)
+
+    def test_non_square_transform_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            validate_hnf(IntMatrix.zeros(1, 1), IntMatrix(((1, 2, 3),)), IntMatrix.zeros(1, 1))
 
     def test_reference_transform_is_unimodular(self):
-        assert int_det(IntMatrix(U_REF_ROWS)) in (-1, 1)
+        assert validate_hnf(IntMatrix.zeros(4, 1), IntMatrix(U_REF_ROWS), IntMatrix.zeros(4, 1))
 
-    @given(int_matrices)
-    @settings(max_examples=25)
-    def test_agrees_with_sympy(self, A):
-        if A.rows != A.cols:
-            return
-        assert int_det(A) == sympy.Matrix(A.entries).det()
+    @given(square_matrices)
+    @settings(max_examples=60)
+    def test_agrees_with_sympy_det(self, U):
+        unimodular = abs(sympy.Matrix(U.entries).det()) == 1
+        assert validate_hnf(IntMatrix.zeros(U.rows, 1), U, IntMatrix.zeros(U.rows, 1)) == unimodular
