@@ -45,18 +45,19 @@ solve needing more than FLOOR_TABLE_LIMIT is refused with ValueError before
 the table is built.
 
 One pass searches below an objective cap: the best objective starts at the
-cap, and a node at column j with cost `acc` of its fixed columns reads the
-points of column j's table that its ranges hold, in (cost, x) order, until
-acc + cost + rest reaches best, `rest` the sum of its floors over columns
-j+1..: these are the candidates sphere_decode returns at radius
-sqrt(best - acc - rest) over the per-row candidate sets (one Alphabet per
-row, as derive_column_sets returns them), in its order.  The
-points a mask holds are listed once per solve (RangeBound.reads).  A
-child is dropped once acc + cost plus its own floors over columns j+1..
-reaches best; those floors' sum past column j+1 is the child's `rest`.
-Every prune discards only leaves costing at least the best objective, so a
-pass that finds a leaf returns the global optimum, and a pass that finds
-none proves the optimum is at least the cap.  The first cap is L d^2, with d
+cap, and every node, the root of the pass included, is dropped once its
+cost so far plus its own floors, from its column on, reaches best (the
+floors end with the leaf's, 0, so the last column is no exception).  A node
+at column j with cost `acc` of its fixed columns reads the points of column
+j's table that its ranges hold, in (cost, x) order, until acc + cost + rest
+reaches best, `rest` the sum of its floors over columns j+1..: these are the
+candidates sphere_decode returns at radius sqrt(best - acc - rest) over the
+per-row candidate sets (one Alphabet per row, as derive_column_sets returns
+them), in its order.  The points a mask holds are listed once per solve
+(RangeBound.reads).  Every prune discards only leaves costing at least the
+best objective, so a pass that finds a leaf returns the global optimum, and
+a pass that finds none proves the optimum is at least the cap.  The first
+cap is L d^2, with d
 the Babai radius of column 0 (spheredec.babai_radius: the residual of the
 column's least-squares point snapped into its candidate sets), clamped below
 the largest finite float; it doubles after each pass that finds nothing.
@@ -75,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
-from .intlin import IntMatrix, int_rank
+from .intlin import IntMatrix, _integer, int_rank
 from .spheredec import FloorTable, PreparedLattice, babai_radius, sphere_decode
 
 # factor by which the objective cap grows after a pass that finds no leaf
@@ -100,7 +101,8 @@ class ProblemInstance:
 
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
-    nonzeros, and X must have rank `target_rank` (= N).  G must have full
+    nonzeros, and X must have rank `target_rank` (= N), both ints (no bool).
+    G must have full
     column rank, so M >= N, and every alphabet value must convert to a float
     for the decoder, at a scale where ||Y - G X||^2 stays a finite float.
     The QR-factored G that every decode reuses is built once, as `lattice`.
@@ -115,6 +117,8 @@ class ProblemInstance:
     lattice: PreparedLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("sparsity", "target_rank"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         Y = np.array(self.Y, dtype=float)
         G = np.array(self.G, dtype=float)
         if Y.ndim != 2 or G.ndim != 2:
@@ -193,28 +197,29 @@ class SolveStats:
 
     `radius_expansions` counts the doublings of the objective cap after
     passes that found no leaf.  `column_reads` counts the nodes that read
-    their candidates for a column off the floor table.  `backtracks` counts
-    prunes by reason other than the bound and is the sum of two counters:
-    `empty_decodes`, the column reads that took no candidate, and
-    `rank_rejects`, the rank prunes at leaves (exact rank below N) and at
-    inner nodes (a settled row zero or two on one line).  `bound_prunes`
-    counts the cuts the bound made: a column read the bound stopped after it
-    took a candidate (once per read, however many points it left unread), a
-    child whose own floors over the columns after its parent's reached the
-    best objective (or the cap), or a pass whose cap the root's floors over
-    columns 1.. already reach.  `sphere_calls` counts the sphere_decode
-    calls a solve makes; the search reads the table instead, so it is 0.
+    their candidates for a column off the floor table.  The prunes by
+    reason: `rank_rejects`, at leaves (exact rank below N) and at inner
+    nodes (a settled row zero or two on one line), and `bound_prunes`, a
+    node (a child, or the root of a pass) whose cost so far plus its own
+    floors reaches the best objective, or a column read the bound stopped.
+    `backtracks` (= rank_rejects) and `sphere_calls` (0: the search decodes
+    nothing) are read-only properties, not fields.
     """
 
     dioph_nodes: int = 0
-    sphere_calls: int = 0
     column_reads: int = 0
     radius_expansions: int = 0
-    backtracks: int = 0
-    empty_decodes: int = 0
     rank_rejects: int = 0
     bound_prunes: int = 0
     wall_time: float = 0.0
+
+    @property
+    def backtracks(self) -> int:
+        return self.rank_rejects
+
+    @property
+    def sphere_calls(self) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,9 @@ class RangeBound:
     0..j-1 are fixed, the rows that agree with output row i on them form one
     contiguous range rows[lo:hi], so a search node is its ranges, `spans`,
     one (lo, hi) per output row, with `root` holding the spans, mask and
-    floors of the root, where every range is all of F.  A row is settled
-    when its range holds a single row.
+    floors of the root, where every range is all of F; a node's floors end
+    with the leaf's, 0.0.  A row is settled when its range holds a single
+    row.
 
     Row i of a node can take at column k only the column-k values of its
     range, so no completion of the node fits column k better than the floor
@@ -290,7 +296,8 @@ class RangeBound:
         self.reads: list[dict[int, list[tuple[float, IntVector]]]] = [{} for _ in range(n_cols)]
         # every root range is all of F, whose mask holds every point of V_k^N
         mask = sum(whole << shift for shift in self.shifts)
-        self.root = (((0, len(self.rows)),) * n, mask, self.child(-1, 0, mask, [0.0] * n_cols))
+        floors = self.child(-1, 0, mask, [0.0] * (n_cols + 1))
+        self.root = (((0, len(self.rows)),) * n, mask, floors)
 
     def child(self, j: int, before: int, mask: int, floors: list[float]) -> list[float]:
         """Per-column floors of a node at depth j + 1 with this mask.
@@ -457,17 +464,18 @@ def _search(
 
     The running best objective starts at the cap.  A node at column j is its
     ranges, their mask and floors (see RangeBound) and `rest`, the floors'
-    sum over columns j+1..  Its candidates are the points of the floor
-    table's column j that the column-j field of its mask holds, in the
-    table's (cost, x) order, listed once per solve per mask (RangeBound.reads),
-    and the read stops at the first one where acc + cost + rest reaches the
-    best objective: no later one costs less.  A child is dropped once
-    acc + cost plus its own floors over columns j+1.. reaches it.  No
-    completion of a node fits a column better than its floor there, so each
-    prune discards only leaves costing at least the best objective, and a
-    returned leaf is the minimum over all leaves below the cap.  A child
-    whose settled rows are dependent is dropped before recursing, and so is
-    a leaf of rank below N: neither can hold the optimum.
+    sum over columns j+1..  Every node, the root included, is dropped once
+    acc plus its own floors from column j on reaches the best objective.  Its
+    candidates are the points of the floor table's column j that the
+    column-j field of its mask holds, in the table's (cost, x) order, listed
+    once per solve per mask (RangeBound.reads), and the read stops at the
+    first one where acc + cost + rest reaches the best objective: no later
+    one costs less.  No completion of a node fits a column better than its
+    floor there, so each prune discards only leaves costing at least the
+    best objective, and a returned leaf is the minimum over all leaves below
+    the cap.  A child whose settled rows are dependent is dropped before
+    recursing, and so is a leaf of rank below N: neither can hold the
+    optimum.
     """
     Y, G = instance.Y, instance.G
     rows = bound.rows
@@ -484,7 +492,6 @@ def _search(
         if j == n_cols:
             X = IntMatrix(tuple(rows[lo] for lo, _ in spans))
             if int_rank(X) != instance.target_rank:
-                stats.backtracks += 1
                 stats.rank_rejects += 1
                 return
             obj = objective(Y, G, X)
@@ -497,41 +504,27 @@ def _search(
         candidates = reads[j].get(key)
         if candidates is None:
             candidates = reads[j][key] = table.held(j, key)
-        last = j + 1 == n_cols
-        taken = False
         for dist2, x in candidates:
             cost = acc + dist2
             if cost + rest >= best_obj:
-                if taken:
-                    stats.bound_prunes += 1
+                stats.bound_prunes += 1
                 break
-            taken = True
             child, cmask = prune_with_column(bound, spans, j, x)
-            if last:
-                cfloors, crest = floors, 0.0
-            else:
-                cfloors = bound.child(j, mask, cmask, floors)
-                crest = sum(cfloors[j + 2 :])
-                if cost + cfloors[j + 1] + crest >= best_obj:
-                    stats.bound_prunes += 1
-                    continue
+            cfloors = bound.child(j, mask, cmask, floors)
+            crest = sum(cfloors[j + 2 :])
+            if cost + cfloors[j + 1] + crest >= best_obj:
+                stats.bound_prunes += 1
+                continue
             if _settled_rows_dependent(bound, child):
-                stats.backtracks += 1
                 stats.rank_rejects += 1
                 continue
             recurse(j + 1, child, cost, cmask, cfloors, crest)
-        if not taken:
-            stats.backtracks += 1
-            stats.empty_decodes += 1
 
     spans, mask, floors = bound.root
-    rest = sum(floors[1:])
-    # a child is entered only when acc + its floors stay below the best
-    # objective, so the spent budget can show only here, at the root
-    if cap - rest <= 0.0:
+    if sum(floors) >= cap:
         stats.bound_prunes += 1
         return None
-    recurse(0, spans, 0.0, mask, floors, rest)
+    recurse(0, spans, 0.0, mask, floors, sum(floors[1:]))
     if best_X is None:
         return None
     return best_obj, best_X

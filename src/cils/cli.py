@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -25,12 +26,11 @@ from .harness import (
     GenSpec,
     GenerationError,
     _alphabet,
-    _integer,
     generate_instance,
     load_specs,
     run_bench,
 )
-from .intlin import IntMatrix
+from .intlin import IntMatrix, _integer
 from .oracle import BudgetExceededError, OracleBudget, oracle_solve
 
 EXIT_OK = 0
@@ -46,25 +46,22 @@ def _fail(path, key: str, problem: str) -> ValueError:
     return ValueError(f"{path}: key {key!r}: {problem}")
 
 
-def _int_matrix(path, key: str, raw) -> IntMatrix:
+def _matrix(path, key: str, raw, integers: bool) -> IntMatrix | np.ndarray:
+    """raw as an IntMatrix of integers, or a float array, read from JSON numbers only.
+
+    A JSON boolean or string is refused, though Python reads true as 1 and
+    numpy reads "0.5" as 0.5.
+    """
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise _fail(path, key, "expected a nonempty list of rows")
+    kind = int if integers else (int, float)
+    for v in itertools.chain.from_iterable(raw):
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise _fail(path, key, f"expected {'integers' if integers else 'numbers'}, got {v!r}")
     try:
-        return IntMatrix(tuple(tuple(v for v in row) for row in raw))
-    except (TypeError, ValueError) as e:
+        return IntMatrix(tuple(map(tuple, raw))) if integers else np.array(raw, dtype=float)
+    except (ValueError, OverflowError) as e:
         raise _fail(path, key, str(e)) from e
-
-
-def _real_matrix(path, key: str, raw) -> np.ndarray:
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise _fail(path, key, "expected a nonempty list of rows")
-    try:
-        M = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise _fail(path, key, str(e)) from e
-    if M.ndim != 2:
-        raise _fail(path, key, "rows must all have the same length")
-    return M
 
 
 def load_instance(path) -> ProblemInstance:
@@ -79,9 +76,9 @@ def load_instance(path) -> ProblemInstance:
     for key in doc:
         if key not in _REQUIRED_KEYS:
             raise _fail(path, key, "unknown key")
-    Y = _real_matrix(path, "Y", doc["Y"])
-    G = _real_matrix(path, "G", doc["G"])
-    A = _int_matrix(path, "A", doc["A"])
+    Y = _matrix(path, "Y", doc["Y"], integers=False)
+    G = _matrix(path, "G", doc["G"], integers=False)
+    A = _matrix(path, "A", doc["A"], integers=True)
     alphabet = _alphabet(doc["S"], f"{path}: key 'S'")
     sparsity = _integer(doc["K"], f"{path}: key 'K'")
     target_rank = _integer(doc["N"], f"{path}: key 'N'")

@@ -25,14 +25,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .assembler import ProblemInstance, SolveResult, solve, verify_solution
 from .dioph import Alphabet, IntVector
-from .intlin import IntMatrix, hermite_decomposition, int_rank
+from .intlin import IntMatrix, _integer, hermite_decomposition, int_rank
 
 _MAX_ATTEMPTS = 50
 
@@ -82,16 +81,6 @@ class GenSpec:
             raise ValueError("alphabet values must lie within the float range") from None
         if self.trials < 1:
             raise ValueError("need at least one trial")
-
-
-def _integer(value, name: str) -> int:
-    """value as a Python int; a bool or a non-integer raises ValueError naming `name`."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def _noise_scale(value, name: str) -> float:

@@ -15,6 +15,16 @@ import operator
 from dataclasses import dataclass
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int; a bool or a non-integer raises ValueError naming `name`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable matrix of exact integers, stored as a tuple of row tuples."""

@@ -72,6 +72,24 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=9, target_rank=3)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sparsity", 2.5), ("sparsity", 4.0), ("sparsity", True), ("sparsity", "4"),
+         ("target_rank", 3.0)],
+    )
+    def test_non_integer_budget_or_rank_rejected(self, ex_Y, ex_G, ex_A, s3, field, value):
+        # a float slices no row and a bool is not a count: both are refused
+        # when the instance is built, not deep inside the solve
+        kwargs = {"sparsity": 4, "target_rank": 3, field: value}
+        with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+            ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, **kwargs)
+
+    def test_integer_types_become_python_ints(self, ex_Y, ex_G, ex_A, s3):
+        inst = ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=np.int64(4),
+                               target_rank=np.int8(3))
+        assert type(inst.sparsity) is int and inst.sparsity == 4
+        assert type(inst.target_rank) is int and inst.target_rank == 3
+
     def test_rank_must_match_g_columns(self, ex_Y, ex_G, ex_A, s3):
         with pytest.raises(ValueError):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=2)
@@ -587,6 +605,35 @@ class TestSolve:
         assert res.stats.radius_expansions == 0
         assert res.stats.column_reads == 7
 
+    def test_root_meets_the_bound_test(self):
+        # the first cap lies between the root's floors over columns 1.. and
+        # over all columns, so the first pass cuts the root before any read
+        # (a root test that left out column 0's floor read column 0 there
+        # and took no candidate)
+        spec = GenSpec(2, 5, 3, S3, sparsity=4, sigma=0.2, seed=150917237)
+        inst, _ = generate_instance(spec)
+        res = solve(inst)
+        assert res.objective == 0.9702282964712629
+        assert res.stats.radius_expansions == 1
+        assert res.stats.column_reads == 5
+        assert res.stats.bound_prunes == 3
+        assert res.stats.rank_rejects == res.stats.backtracks == 0
+
+    def test_read_stopped_at_its_first_candidate_is_a_bound_prune(self):
+        # column 0 fits exactly but the optimum is positive, so the first cap
+        # is doubled 34 times; each failed pass reads column 0 and its first
+        # candidate already reaches the cap: one bound prune, not a backtrack
+        spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
+        inst0, _ = generate_instance(spec)
+        inst = ProblemInstance(Y=inst0.Y * 1e12, G=inst0.G * 1e12, A=inst0.A, alphabet=S3,
+                               sparsity=inst0.sparsity, target_rank=3)
+        res = solve(inst)
+        assert res.objective == 1.1920928955078125e-07
+        assert res.stats.radius_expansions == 34
+        assert res.stats.column_reads == 80
+        assert res.stats.bound_prunes == 73
+        assert res.stats.rank_rejects == res.stats.backtracks == 0
+
     def test_hard_instance_within_decode_budget(self):
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
         # place of doubling it, takes about 140k decodes; doubling takes 1,683
@@ -605,42 +652,47 @@ class TestSolve:
         # with a decoder in the search: 10,970 with the per-instance suffix
         # of column floors, 14,185 with rank-dead subtrees cut at the leaves
         # alone, 189,505 with the outside-span bound), and the search calls
-        # no decoder; no read comes back empty, so every backtrack is a rank
-        # prune
+        # no decoder; the prunes by reason are pinned too
         objectives = [
             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
             [18.969213179759812, 23.041300291816217, 15.973124163967451, 24.578878819742226],
         ]
-        reads = 0
+        reads = rank_rejects = bound_prunes = 0
         for spec, wants in zip(load_specs(HARD_TIER), objectives, strict=True):
             for trial_seed, want in zip(trial_seeds(spec), wants, strict=True):
                 inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
                 res = solve(inst)
                 assert res.objective == pytest.approx(want, rel=1e-9)
-                assert res.stats.empty_decodes == 0
                 assert res.stats.backtracks == res.stats.rank_rejects
                 assert res.stats.sphere_calls == 0
                 reads += res.stats.column_reads
+                rank_rejects += res.stats.rank_rejects
+                bound_prunes += res.stats.bound_prunes
         assert reads == 1_248
+        assert rank_rejects == 47
+        assert bound_prunes == 1_417
 
     def test_stretch_tier_objectives_and_decodes_asked(self):
         # the 4 stretch-tier instances: objectives pinned, and the column
         # reads of the search (as many decodes asked for with a decoder in
         # the search; 93,681 with the per-instance suffix of column floors,
-        # 126,318 with rank-dead subtrees cut at the leaves alone); no read
-        # comes back empty
+        # 126,318 with rank-dead subtrees cut at the leaves alone), and the
+        # prunes by reason
         objectives = [38.400958083654245, 31.452660276391825, 30.201242185320734, 28.95642576897489]
         (spec,) = load_specs(STRETCH_TIER)
-        reads = 0
+        reads = rank_rejects = bound_prunes = 0
         for trial_seed, want in zip(trial_seeds(spec), objectives, strict=True):
             inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
             res = solve(inst)
             assert res.objective == pytest.approx(want, rel=1e-9)
-            assert res.stats.empty_decodes == 0
             assert res.stats.backtracks == res.stats.rank_rejects
             reads += res.stats.column_reads
+            rank_rejects += res.stats.rank_rejects
+            bound_prunes += res.stats.bound_prunes
         assert reads == 1_349
+        assert rank_rejects == 86
+        assert bound_prunes == 4_897
 
     def test_noisy_tier_trial_objective(self):
         # trial 1 of the sigma = 1.0 stretch shape (scripts/noisy_tier.json):
@@ -650,7 +702,6 @@ class TestSolve:
         inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
         res = solve(inst)
         assert res.objective == pytest.approx(125.8106411055673, rel=1e-9)
-        assert res.stats.empty_decodes == 0
 
     def test_search_calls_no_decoder(self, ex_instance, ex_X, monkeypatch):
         # every node reads its column's candidates off the floor table
@@ -794,7 +845,9 @@ class TestRangeBound:
         spans, mask, floors = bound.root
         assert spans == ((0, len(F)),) * inst.n_rows
         assert mask == range_mask(bound, spans, len(inst.alphabet))
-        assert floors == bound.child(-1, 0, mask, [0.0] * inst.n_cols)
+        # one floor per column and the leaf's, 0.0, past the last
+        assert floors == bound.child(-1, 0, mask, [0.0] * (inst.n_cols + 1))
+        assert floors[-1] == 0.0
         want = sum(
             min(
                 float(np.sum((inst.Y[:, k] - inst.G @ np.array(x, dtype=float)) ** 2))

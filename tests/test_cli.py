@@ -15,6 +15,16 @@ from cils import cli
 from cils.cli import load_instance, main, planted_sidecar_path
 from conftest import X_A_ROWS
 
+# the SolveStats fields that --stats prints and --json carries
+STATS_FIELDS = (
+    "dioph_nodes",
+    "column_reads",
+    "radius_expansions",
+    "rank_rejects",
+    "bound_prunes",
+    "wall_time",
+)
+
 
 def write_instance(path, doc):
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -89,18 +99,10 @@ class TestSolveCommand:
     def test_stats_flag_adds_counters(self, ex_file, capsys):
         assert main(["solve", "--stats", str(ex_file)]) == 0
         out = capsys.readouterr().out
-        for field in (
-            "dioph_nodes",
-            "sphere_calls",
-            "column_reads",
-            "radius_expansions",
-            "backtracks",
-            "empty_decodes",
-            "rank_rejects",
-            "bound_prunes",
-            "wall_time",
-        ):
+        for field in STATS_FIELDS:
             assert field in out
+        for gone in ("sphere_calls", "backtracks", "empty_decodes"):
+            assert gone not in out
 
     def test_json_flag_machine_readable(self, ex_file, capsys):
         assert main(["solve", "--json", str(ex_file)]) == 0
@@ -109,8 +111,9 @@ class TestSolveCommand:
         assert doc["objective"] <= 1e-18
         assert doc["stats"]["dioph_nodes"] > 0
         assert doc["stats"]["bound_prunes"] >= 0
-        stats = doc["stats"]
-        assert stats["backtracks"] == stats["empty_decodes"] + stats["rank_rejects"]
+        # the stored counters only: backtracks (= rank_rejects) and
+        # sphere_calls (0) are read-only SolveStats properties
+        assert set(doc["stats"]) == set(STATS_FIELDS)
 
     def test_infinite_radius_flag_exits_1(self, ex_file, capsys):
         # solve has no --radius option: the first objective cap is derived
@@ -152,6 +155,20 @@ class TestSolveCommand:
         assert main(["solve", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: key 'S': ")
+
+    @pytest.mark.parametrize(
+        "key, entry",
+        [("Y", "0.5"), ("G", "0.5"), ("Y", True), ("G", False), ("A", True), ("A", "1")],
+    )
+    def test_non_number_matrix_entry_exits_1(self, tmp_path, tiny_doc, capsys, key, entry):
+        # a JSON boolean or string is not a number, though Python reads true
+        # as 1 and numpy reads "0.5" as 0.5
+        tiny_doc[key][0][0] = entry
+        path = write_instance(tmp_path / "bad.json", tiny_doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: key '{key}': expected ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["Y", "G", "d0"])
     def test_huge_integer_exits_1(self, tmp_path, tiny_doc, capsys, key):
