@@ -54,6 +54,8 @@ def _matrix(path, key: str, raw, integers: bool) -> IntMatrix | np.ndarray:
     """
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise _fail(path, key, "expected a nonempty list of rows")
+    if len(set(map(len, raw))) > 1:
+        raise _fail(path, key, "rows must all have the same length")
     kind = int if integers else (int, float)
     for v in itertools.chain.from_iterable(raw):
         if isinstance(v, bool) or not isinstance(v, kind):

@@ -21,10 +21,26 @@ argument of Aardal, Hurkens & Lenstra (Math. Oper. Res. 2000) with the
 nonzero budget added.  At the pivot, s is the numerator of the imputed
 value, and the next HNF row becomes the target.
 
+The free columns between the target's pivot and the last assigned column
+form its segment, and the target row is a subset-sum constraint on them.
+Once a segment spans at least JOIN_MIN alphabet points, the walk defers its
+leftmost half and meets the two halves at the pivot (Horowitz & Sahni,
+J. ACM 1974; Schroeppel & Shamir, SIAM J. Comput. 1981), so the frontier
+grows to about the square root of the product it would otherwise reach.
+The deferred block, every vector over S on those columns within the budget,
+is enumerated on its own and sorted once by the integer key t (K+2) + nz_b,
+t being its part of the target row and nz_b its nonzero count.  A frontier
+row and a pivot value v then match one contiguous key range, from
+(s - h_p v)(K+2) to that plus K - nz - [v != 0], which holds both the exact
+sum and the budget; two searchsorted calls find every range at once.  The
+reach filter on the columns still walked is unchanged, since the deferred
+columns are unassigned there.  A shorter segment is walked column by column
+and its pivot imputed by division.
+
 Entries use the smallest signed integer dtype that holds the alphabet (int8
-for the usual small alphabets), and s uses int64 when its magnitude is
-provably below 2**62; either falls back to Python-int object arrays, so
-results stay exact for any input.
+for the usual small alphabets), and s and the join keys use int64 when their
+magnitude is provably below 2**62; each falls back to Python-int object
+arrays, so results stay exact for any input.
 """
 
 from __future__ import annotations
@@ -42,6 +58,11 @@ IntVector = tuple[int, ...]
 # a numerator of int64 entries is used only while |numerator| and the pivot
 # stay below this, so no partial sum or remainder can wrap
 _INT64_SAFE = 2**62
+
+# a target row's free segment is split and joined at its pivot once the
+# segment spans at least this many alphabet points (|S|^len); shorter
+# segments are walked column by column, where a join costs more than it saves
+JOIN_MIN = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -70,7 +91,13 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class DiophStats:
-    """nodes_visited counts every candidate node examined, kept or pruned."""
+    """nodes_visited counts every candidate node examined, kept or pruned.
+
+    That is |S| per frontier row at a walked free column, one per row at a
+    pivot imputed by division, and at a joined pivot |S| per frontier row
+    (one probe per pivot value) plus |S| per deferred-block row per block
+    column, counted before the budget cut.
+    """
 
     nodes_visited: int
     leaves: int
@@ -128,6 +155,90 @@ def _target(
     return pivot, s, reach
 
 
+def _deferred(pivot: int, start: int, n_values: int) -> int:
+    """How many free columns right of pivot the walk defers to the join.
+
+    The segment is the free columns pivot+1..start-1 between a target row's
+    pivot and the last assigned column.  Once |S|^len(segment) reaches
+    JOIN_MIN its leftmost half is deferred; a shorter segment, and the zero
+    row that stands in after the last pivot, defer nothing.
+    """
+    length = start - 1 - pivot
+    if pivot < 0 or n_values**length < JOIN_MIN:
+        return 0
+    return length // 2
+
+
+def _join(
+    row: IntVector,
+    pivot: int,
+    defer: int,
+    states: np.ndarray,
+    s: np.ndarray,
+    nz: np.ndarray,
+    sorted_values: np.ndarray,
+    nz_step: np.ndarray,
+    max_abs: int,
+    max_nonzeros: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(states, nz, block nodes) once the pivot and its deferred block are assigned.
+
+    The block is every vector over S on the columns pivot+1..pivot+defer
+    with at most max_nonzeros nonzeros, built one column at a time with |S|
+    nodes per block row per column, counted before the budget cut.  Each
+    block row b has the partial sum t = sum_k row_k b_k and nonzero count
+    nz_b, and the block is sorted once by the key t (K+2) + nz_b.  A frontier
+    row with residual s and count nz, given the pivot value v, matches the
+    block rows with t = s - row_pivot v and nz_b <= K - nz - [v != 0]: one
+    contiguous key range, found with two searchsorted calls for all
+    (value, row) pairs at once.  The keys are int64 when max|S| times
+    sum_{k>=pivot} |row_k| times K+2, plus K, is provably below 2**62, else
+    Python-int objects.
+    """
+    width = max_nonzeros + 2
+    bound = max(max_abs, 1) * sum(map(abs, row[pivot:]))
+    if states.dtype != object and bound * width + max_nonzeros < _INT64_SAFE:
+        key_dtype = np.dtype(np.int64)
+    else:
+        key_dtype = np.dtype(object)
+    block = np.zeros((1, defer), dtype=states.dtype)
+    block_nz = np.zeros(1, dtype=nz.dtype)
+    visited = 0
+    for j in range(defer):
+        visited += len(block) * len(sorted_values)
+        child_nz = block_nz + nz_step
+        which, parent = (child_nz <= max_nonzeros).nonzero()
+        block = block[parent]
+        block[:, j] = sorted_values[which]
+        block_nz = child_nz[which, parent]
+    key = block_nz.astype(key_dtype)
+    for j, coeff in enumerate(row[pivot + 1 : pivot + 1 + defer]):
+        if coeff:
+            key += np.multiply(block[:, j], coeff * width, dtype=key_dtype)
+    order = key.argsort()
+    key, block, block_nz = key[order], block[order], block_nz[order]
+    # frontier rows in s order, so that each value's probes ascend and
+    # searchsorted starts each one where the last ended
+    rows = s.argsort()
+    s = s[rows]
+    child_nz = nz[rows] + nz_step
+    # one (value, row) pair per entry, in |S| x n order
+    lo = s.astype(key_dtype) - np.multiply(sorted_values[:, None], row[pivot], dtype=key_dtype)
+    lo *= width
+    room = max_nonzeros - child_nz.astype(key_dtype)
+    first = key.searchsorted(lo.ravel(), side="left")
+    # room is -1 for a pair over the budget, whose range is then empty
+    counts = key.searchsorted((lo + room).ravel(), side="right") - first
+    pair = np.repeat(np.arange(len(counts)), counts)
+    ends = counts.cumsum()
+    match = first[pair] + np.arange(len(pair)) - (ends - counts)[pair]
+    which, parent = np.divmod(pair, len(rows))
+    states = states[rows[parent]]
+    states[:, pivot] = sorted_values[which]
+    states[:, pivot + 1 : pivot + 1 + defer] = block[match]
+    return states, child_nz[which, parent] + block_nz[match], visited
+
+
 def solve_diophantine_sparse(
     A: IntMatrix, alphabet: Alphabet, max_nonzeros: int
 ) -> tuple[np.ndarray, DiophStats]:
@@ -139,11 +250,14 @@ def solve_diophantine_sparse(
     increase, so each row is met once, after every column right of its pivot
     is assigned.  At a free column a child is kept only if the target row
     (the next pivot's) can still cancel its assigned part within the budget.
+    When the target's free segment spans at least JOIN_MIN alphabet points,
+    the leftmost half of it is skipped and joined at the pivot with a
+    sorted deferred block (see the module docstring and _join).
     Returns F, the |F| x L array of solutions (one per row, in no particular
     order; see tree_leaves), and stats with the number of candidate nodes
-    examined (|S| per frontier row at a free column, one per row at a pivot
-    column, counted before any filter) and |F|.  The zero vector is always
-    feasible, so F is nonempty unless the alphabet excludes 0.
+    examined (see DiophStats; counted before any filter) and |F|.  The zero
+    vector is always feasible, so F is nonempty unless the alphabet
+    excludes 0.
     """
     if max_nonzeros < 0:
         raise ValueError("nonzero budget must be nonnegative")
@@ -170,8 +284,11 @@ def solve_diophantine_sparse(
     nz_step = (values_col != 0).astype(nz.dtype)
     h = next(targets)
     pivot, s, reach = _target(h, n_cols, states, max_abs, max_nonzeros, dtype)
+    defer = _deferred(pivot, n_cols, len(values))
     visited = 0
     for col in range(n_cols - 1, -1, -1):
+        if pivot < col <= pivot + defer:
+            continue
         n = len(states)
         if col != pivot:
             # every (value, row) child at once; only the survivors are built
@@ -184,18 +301,25 @@ def solve_diophantine_sparse(
             s = child_s[which, parent]
             nz = child_nz[which, parent]
             continue
-        visited += n
-        den = h[col]
-        exact = (s % den == 0).nonzero()[0]
-        val = s[exact] // den
-        member = lookup[sorted_values.searchsorted(val)] == val
-        nz2 = nz[exact] + (val != 0)
-        keep = member & (nz2 <= max_nonzeros)
-        states = states[exact[keep]]
-        states[:, col] = val[keep]
-        nz = nz2[keep]
+        if defer:
+            states, nz, block_visited = _join(
+                h, pivot, defer, states, s, nz, sorted_values, nz_step, max_abs, max_nonzeros
+            )
+            visited += n * len(values) + block_visited
+        else:
+            visited += n
+            den = h[col]
+            exact = (s % den == 0).nonzero()[0]
+            val = s[exact] // den
+            member = lookup[sorted_values.searchsorted(val)] == val
+            nz2 = nz[exact] + (val != 0)
+            keep = member & (nz2 <= max_nonzeros)
+            states = states[exact[keep]]
+            states[:, col] = val[keep]
+            nz = nz2[keep]
         h = next(targets)
         pivot, s, reach = _target(h, col, states, max_abs, max_nonzeros, dtype)
+        defer = _deferred(pivot, col, len(values))
     return states, DiophStats(nodes_visited=visited, leaves=len(states))
 
 

@@ -170,6 +170,17 @@ class TestSolveCommand:
         assert err.startswith(f"error: {path}: key '{key}': expected ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["Y", "G", "A"])
+    def test_ragged_matrix_exits_1(self, ex_file, tmp_path, capsys, key):
+        # one entry short in the first row; numpy's own message names no key
+        doc = json.loads(Path(ex_file).read_text(encoding="utf-8"))
+        doc[key][0].pop()
+        path = write_instance(tmp_path / "ragged.json", doc)
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: key '{key}': rows must all have the same length")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["Y", "G", "d0"])
     def test_huge_integer_exits_1(self, tmp_path, tiny_doc, capsys, key):
         # a 400-digit JSON integer has no float value

@@ -9,12 +9,14 @@ count of the array frontier.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cils.dioph as dioph
 from cils import (
     Alphabet,
     GenSpec,
@@ -44,6 +46,13 @@ def reference_enumeration(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
     with the largest pivot p left of its column, can still cancel the path's
     part of it: |sum of h_k x_k over assigned k| may not exceed max|S| times
     the sum of the K - nz largest |h_k| over the unassigned p..col-1.
+
+    When a target row's free segment p+1..start-1 spans at least JOIN_MIN
+    alphabet points, its leftmost half is deferred: the walk skips it, and
+    at p every path tries each pivot value (one node each) against every
+    vector of the deferred block within the budget, kept when the row sums
+    to zero.  The block is built column by column, |S| nodes per block
+    vector per column.
     """
     n_cols = A.cols
     pivot_rows = {}
@@ -53,18 +62,31 @@ def reference_enumeration(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
             pivot_rows[pivot_col] = row
     max_abs = max(abs(v) for v in alphabet.values)
 
+    def target(col):
+        return max((q for q in pivot_rows if q < col), default=None)
+
+    def deferred_columns(start):
+        p = target(start)
+        if p is None or len(alphabet) ** (start - 1 - p) < dioph.JOIN_MIN:
+            return ()
+        return tuple(range(p + 1, p + 1 + (start - 1 - p) // 2))
+
+    def assigned(h, path):
+        return sum(h[n_cols - 1 - k] * v for k, v in enumerate(path))
+
     def reachable(path, nz, col):
-        p = max((q for q in pivot_rows if q < col), default=None)
+        p = target(col)
         if p is None:
             return True
-        h = pivot_rows[p]
-        assigned = sum(h[n_cols - 1 - k] * v for k, v in enumerate(path))
-        mags = sorted((abs(h[k]) for k in range(p, col)), reverse=True)
-        return abs(assigned) <= max_abs * sum(mags[: max_nonzeros - nz])
+        mags = sorted((abs(pivot_rows[p][k]) for k in range(p, col)), reverse=True)
+        return abs(assigned(pivot_rows[p], path)) <= max_abs * sum(mags[: max_nonzeros - nz])
 
     states = [((), 0)]
     nodes = 0
+    deferred = deferred_columns(n_cols)
     for col in range(n_cols - 1, -1, -1):
+        if col in deferred:
+            continue
         out = []
         h = pivot_rows.get(col)
         if h is None:
@@ -74,13 +96,32 @@ def reference_enumeration(A: IntMatrix, alphabet: Alphabet, max_nonzeros: int):
                     child = (path + (v,), nz + (v != 0))
                     if child[1] <= max_nonzeros and reachable(*child, col):
                         out.append(child)
+        elif deferred:
+            block = [((), 0)]
+            for _ in deferred:
+                nodes += len(block) * len(alphabet)
+                block = [
+                    (b + (v,), bnz + (v != 0))
+                    for b, bnz in block
+                    for v in alphabet.values
+                    if bnz + (v != 0) <= max_nonzeros
+                ]
+            for path, nz in states:
+                for v in alphabet.values:
+                    nodes += 1
+                    for b, bnz in block:
+                        total = assigned(h, path) + h[col] * v
+                        total += sum(h[c] * x for c, x in zip(deferred, b))
+                        if total == 0 and nz + (v != 0) + bnz <= max_nonzeros:
+                            out.append((path + b[::-1] + (v,), nz + (v != 0) + bnz))
         else:
-            support = [(n_cols - 1 - c, h[c]) for c in range(col + 1, n_cols) if h[c] != 0]
             for path, nz in states:
                 nodes += 1
-                val, rem = divmod(-sum(coeff * path[k] for k, coeff in support), h[col])
+                val, rem = divmod(-assigned(h, path), h[col])
                 if rem == 0 and val in alphabet and nz + (val != 0) <= max_nonzeros:
                     out.append((path + (val,), nz + (val != 0)))
+        if h is not None:
+            deferred = deferred_columns(col)
         states = out
     return sorted(tuple(reversed(path)) for path, _ in states), nodes
 
@@ -315,6 +356,56 @@ class TestFrontierArray:
         assert stats.leaves == len(want_leaves)
 
 
+class TestJoin:
+    """The deferred half of a long free segment, joined at its pivot."""
+
+    ALPHABETS = [S3, S5, Alphabet((0, 1)), Alphabet((1, 2)), Alphabet((-3, 0, 2, 5))]
+
+    @given(st.sampled_from(ALPHABETS), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_forced_join_matches_oracle_and_reference(self, alphabet, data):
+        # with JOIN_MIN = 1 every segment of two or more free columns is
+        # split; zeroed columns leave free columns between and before pivots
+        max_len = max(l for l in range(1, 11) if len(alphabet) ** l <= 20_000)
+        rows = random_rows(data, 1, 3, 1, max_len, 4)
+        zero = data.draw(st.sets(st.integers(min_value=0, max_value=len(rows[0]) - 1)))
+        A = matrix([[0 if j in zero else v for j, v in enumerate(r)] for r in rows])
+        k = data.draw(st.integers(min_value=0, max_value=A.cols))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dioph, "JOIN_MIN", 1)
+            F, stats = solve_diophantine_sparse(A, alphabet, k)
+            want_leaves, want_nodes = reference_enumeration(A, alphabet, k)
+        assert tree_leaves(F) == want_leaves == oracle_F(A, alphabet, k)
+        assert stats.nodes_visited == want_nodes
+
+    def test_key_beyond_int64_with_int64_residual(self):
+        # pivot 0 leaves a 9-column segment, and 3^9 >= JOIN_MIN.  sum |h_k|
+        # is below 2**62, so s is int64, but (K + 2) times it is not: the
+        # join keys must be Python ints.  Columns 1..4 are deferred,
+        # and their all-ones block sums to 2**61, whose key 8 * 2**61 + 4
+        # would wrap to 4 and match the all-zero frontier row
+        a = 2**58
+        row = (1, 2 * a, 2 * a, 2 * a, 2 * a, a, -a, a + 1, -(a + 1), -1)
+        assert len(S3) ** 9 >= dioph.JOIN_MIN
+        assert sum(map(abs, row)) < dioph._INT64_SAFE <= sum(map(abs, row)) * 8
+        A = matrix([row])
+        F, stats = solve_diophantine_sparse(A, S3, 6)
+        assert F.dtype == np.int8
+        assert tree_leaves(F) == oracle_F(A, S3, 6)
+        assert stats.nodes_visited == reference_enumeration(A, S3, 6)[1]
+
+    def test_alphabet_beyond_int64_through_the_join(self, monkeypatch):
+        big = 2**70
+        alphabet = Alphabet((-big, 0, big))
+        A = matrix(TestUnboundedIntegers.A_HUGE)
+        monkeypatch.setattr(dioph, "JOIN_MIN", 1)
+        F, stats = solve_diophantine_sparse(A, alphabet, 4)
+        assert F.dtype == object
+        assert tree_leaves(F) == oracle_F(A, alphabet, 4)
+        # pivots 0 and 1: columns 2 and 3 of the segment 2..5 are deferred
+        assert stats.nodes_visited == reference_enumeration(A, alphabet, 4)[1] != 82
+
+
 class TestUnboundedIntegers:
     """A and the alphabet are Python ints of any size; nothing may wrap."""
 
@@ -355,8 +446,15 @@ class TestMemoryWall:
         instance, _ = generate_instance(
             GenSpec(3, 22, 4, S5, n_constraints=8, sparsity=6, sigma=0.5, seed=1)
         )
-        F, stats = solve_diophantine_sparse(instance.A, S5, 6)
-        assert stats.nodes_visited == 5_757_810
+        tracemalloc.start()
+        try:
+            F, stats = solve_diophantine_sparse(instance.A, S5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the join at the last pivot: 5,757,810 nodes and a peak near 60 MB without it
+        assert stats.nodes_visited == 336_704
+        assert peak <= 32 * 2**20
         leaves = tree_leaves(F)
         assert len(leaves) == stats.leaves == 29
         for x in leaves:
