@@ -32,10 +32,14 @@ is enumerated on its own and sorted once by the integer key t (K+2) + nz_b,
 t being its part of the target row and nz_b its nonzero count.  A frontier
 row and a pivot value v then match one contiguous key range, from
 (s - h_p v)(K+2) to that plus K - nz - [v != 0], which holds both the exact
-sum and the budget; two searchsorted calls find every range at once.  The
-reach filter on the columns still walked is unchanged, since the deferred
-columns are unassigned there.  A shorter segment is walked column by column
-and its pivot imputed by division.
+sum and the budget.  Rows that share (s, nz) match alike, so the frontier is
+sorted by s (K+2) + nz and each run of equal keys probes once per pivot
+value, as a hash join groups its probe side.  One searchsorted finds where
+every probe's range would start; a second runs only for the probes whose
+first key there is in range, and each match is expanded to every row of its
+run.  The reach filter on the columns still walked is unchanged, since the
+deferred columns are unassigned there.  A shorter segment is walked column
+by column and its pivot imputed by division.
 
 Entries use the smallest signed integer dtype that holds the alphabet (int8
 for the usual small alphabets), and s and the join keys use int64 when their
@@ -51,7 +55,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .intlin import IntMatrix, hermite_normal_form
+from .intlin import IntMatrix, _integer, hermite_normal_form
 
 IntVector = tuple[int, ...]
 
@@ -95,7 +99,8 @@ class DiophStats:
 
     That is |S| per frontier row at a walked free column, one per row at a
     pivot imputed by division, and at a joined pivot |S| per frontier row
-    (one probe per pivot value) plus |S| per deferred-block row per block
+    (one candidate per pivot value, counted per row even where rows that
+    share a probe key probe once) plus |S| per deferred-block row per block
     column, counted before the budget cut.
     """
 
@@ -116,25 +121,29 @@ def _target(
     row: IntVector,
     start: int,
     states: np.ndarray,
+    n_values: int,
     max_abs: int,
     max_nonzeros: int,
     entry_dtype: np.dtype,
-) -> tuple[int, np.ndarray, dict[int, np.ndarray]]:
-    """(pivot, s, reach) for an HNF row that becomes the target at column start.
+) -> tuple[int, int, np.ndarray, dict[int, np.ndarray]]:
+    """(pivot, defer, s, reach) for an HNF row that becomes the target at column start.
 
-    s holds -sum_{k>=start} row_k x_k on every frontier row: what the
-    unassigned columns pivot..start-1 must sum to, so at the pivot it is the
-    numerator of the imputed value.  For each free column c between pivot
-    and start, reach[c][nz] is the largest |s| that the columns pivot..c-1
-    can still cancel once c is assigned and a child has nz nonzeros: max|S|
-    times the sum of the max_nonzeros - nz largest |row_k| there, and -1 at
-    nz = max_nonzeros + 1 so that a child over the budget fails the same
-    test.  s and reach are int64 when max|S| times sum_{k>=pivot} |row_k|,
-    which bounds |s|, every reach entry, the pivot entry and every
-    coefficient, is provably below 2**62, else Python-int objects.  A zero
-    row has pivot -1 and s = 0, so its reach filters on the budget alone.
+    defer is how many free columns right of the pivot the walk leaves to the
+    join (see _deferred).  s holds -sum_{k>=start} row_k x_k on every
+    frontier row: what the unassigned columns pivot..start-1 must sum to, so
+    at the pivot it is the numerator of the imputed value.  For each free
+    column c that the walk assigns, pivot+defer < c < start, reach[c][nz] is
+    the largest |s| that the columns pivot..c-1 can still cancel once c is
+    assigned and a child has nz nonzeros: max|S| times the sum of the
+    max_nonzeros - nz largest |row_k| there, and -1 at nz = max_nonzeros + 1
+    so that a child over the budget fails the same test.  s and reach are
+    int64 when max|S| times sum_{k>=pivot} |row_k|, which bounds |s|, every
+    reach entry, the pivot entry and every coefficient, is provably below
+    2**62, else Python-int objects.  A zero row has pivot -1 and s = 0, so
+    its reach filters on the budget alone.
     """
     pivot = next((j for j, v in enumerate(row) if v != 0), -1)
+    defer = _deferred(pivot, start, n_values)
     # max(max_abs, 1): the coefficients must fit even when max|S| is 0
     bound = max(max_abs, 1) * sum(map(abs, row[pivot:]))
     if entry_dtype != object and bound < _INT64_SAFE:
@@ -146,13 +155,13 @@ def _target(
         if row[c]:
             s -= np.multiply(states[:, c], row[c], dtype=dtype)
     reach = {}
-    for c in range(pivot + 1, start):
+    for c in range(pivot + 1 + defer, start):
         mags = sorted(map(abs, row[max(pivot, 0) : c]), reverse=True)[:max_nonzeros]
         sums = [max_abs * m for m in accumulate(mags, initial=0)]
         # entry nz is sums[min(max_nonzeros - nz, len(mags))]
         pad = sums[-1:] * (max_nonzeros - len(mags))
         reach[c] = np.array(pad + sums[::-1] + [-1], dtype=dtype)
-    return pivot, s, reach
+    return pivot, defer, s, reach
 
 
 def _deferred(pivot: int, start: int, n_values: int) -> int:
@@ -167,6 +176,15 @@ def _deferred(pivot: int, start: int, n_values: int) -> int:
     if pivot < 0 or n_values**length < JOIN_MIN:
         return 0
     return length // 2
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, owner): range(starts[i], starts[i] + counts[i]) for every i, concatenated.
+
+    owner holds each entry's i.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return np.arange(len(owner)) + (starts - counts.cumsum() + counts)[owner], owner
 
 
 def _join(
@@ -190,8 +208,13 @@ def _join(
     nz_b, and the block is sorted once by the key t (K+2) + nz_b.  A frontier
     row with residual s and count nz, given the pivot value v, matches the
     block rows with t = s - row_pivot v and nz_b <= K - nz - [v != 0]: one
-    contiguous key range, found with two searchsorted calls for all
-    (value, row) pairs at once.  The keys are int64 when max|S| times
+    contiguous key range [lo, hi].  Frontier rows that share (s, nz) match
+    alike, so the frontier is sorted by the same kind of key, s (K+2) + nz,
+    and each run of equal keys probes once per pivot value, as the probe
+    side of a hash join is grouped.  One searchsorted finds every probe's
+    first key at or above lo; only the probes whose first key is at most hi
+    search a second time for the range's end, and each match is then
+    expanded to every row of its run.  The keys are int64 when max|S| times
     sum_{k>=pivot} |row_k| times K+2, plus K, is provably below 2**62, else
     Python-int objects.
     """
@@ -217,26 +240,42 @@ def _join(
             key += np.multiply(block[:, j], coeff * width, dtype=key_dtype)
     order = key.argsort()
     key, block, block_nz = key[order], block[order], block_nz[order]
-    # frontier rows in s order, so that each value's probes ascend and
-    # searchsorted starts each one where the last ended
-    rows = s.argsort()
-    s = s[rows]
-    child_nz = nz[rows] + nz_step
-    # one (value, row) pair per entry, in |S| x n order
-    lo = s.astype(key_dtype) - np.multiply(sorted_values[:, None], row[pivot], dtype=key_dtype)
+    # frontier rows in key order, split into runs of equal (s, nz); runs
+    # ascend in s, so each value's probes ascend and searchsorted starts
+    # each one where the last ended
+    front = s.astype(key_dtype) * width + nz.astype(key_dtype)
+    rows = front.argsort()
+    front = front[rows]
+    new_run = np.ones(len(front), dtype=bool)
+    new_run[1:] = front[1:] != front[:-1]
+    runs = new_run.nonzero()[0]
+    run_len = np.diff(runs, append=len(front))
+    lead = rows[runs]
+    child_nz = nz[lead] + nz_step
+    # one (value, run) probe per entry, in |S| x runs order
+    lo = s[lead].astype(key_dtype) - np.multiply(sorted_values[:, None], row[pivot], dtype=key_dtype)
     lo *= width
-    room = max_nonzeros - child_nz.astype(key_dtype)
-    first = key.searchsorted(lo.ravel(), side="left")
-    # room is -1 for a pair over the budget, whose range is then empty
-    counts = key.searchsorted((lo + room).ravel(), side="right") - first
-    pair = np.repeat(np.arange(len(counts)), counts)
-    ends = counts.cumsum()
-    match = first[pair] + np.arange(len(pair)) - (ends - counts)[pair]
-    which, parent = np.divmod(pair, len(rows))
-    states = states[rows[parent]]
-    states[:, pivot] = sorted_values[which]
+    # the room is -1 for a probe over the budget, whose range is then empty
+    hi = max_nonzeros - child_nz.astype(key_dtype)
+    hi += lo
+    lo, hi = lo.ravel(), hi.ravel()
+    first = key.searchsorted(lo, side="left")
+    # only a probe whose first key at or above lo is at most hi can match; one
+    # past the block reads the last key, which is below lo, and so finds an
+    # empty range if it searches again.  The block is empty only when 0 is
+    # not in S and defer > K, and then the at least defer walked columns
+    # have already cut every frontier row, so nothing is read from it
+    probe = (key.take(first, mode="clip") <= hi).nonzero()[0]
+    first = first[probe]
+    match, owner = _spans(first, key.searchsorted(hi[probe], side="right") - first)
+    probe = probe[owner]
+    which, run = np.divmod(probe, len(runs))
+    member, owner = _spans(runs[run], run_len[run])
+    match, probe = match[owner], probe[owner]
+    states = states[rows[member]]
+    states[:, pivot] = sorted_values[which[owner]]
     states[:, pivot + 1 : pivot + 1 + defer] = block[match]
-    return states, child_nz[which, parent] + block_nz[match], visited
+    return states, child_nz.ravel()[probe] + block_nz[match], visited
 
 
 def solve_diophantine_sparse(
@@ -257,8 +296,10 @@ def solve_diophantine_sparse(
     order; see tree_leaves), and stats with the number of candidate nodes
     examined (see DiophStats; counted before any filter) and |F|.  The zero
     vector is always feasible, so F is nonempty unless the alphabet
-    excludes 0.
+    excludes 0.  A max_nonzeros that is not an integer (a bool included) or
+    lies outside 0..L raises ValueError.
     """
+    max_nonzeros = _integer(max_nonzeros, "max_nonzeros")
     if max_nonzeros < 0:
         raise ValueError("nonzero budget must be nonnegative")
     if max_nonzeros > A.cols:
@@ -283,8 +324,7 @@ def solve_diophantine_sparse(
     values_col = sorted_values[:, None]
     nz_step = (values_col != 0).astype(nz.dtype)
     h = next(targets)
-    pivot, s, reach = _target(h, n_cols, states, max_abs, max_nonzeros, dtype)
-    defer = _deferred(pivot, n_cols, len(values))
+    pivot, defer, s, reach = _target(h, n_cols, states, len(values), max_abs, max_nonzeros, dtype)
     visited = 0
     for col in range(n_cols - 1, -1, -1):
         if pivot < col <= pivot + defer:
@@ -318,8 +358,7 @@ def solve_diophantine_sparse(
             states[:, col] = val[keep]
             nz = nz2[keep]
         h = next(targets)
-        pivot, s, reach = _target(h, col, states, max_abs, max_nonzeros, dtype)
-        defer = _deferred(pivot, col, len(values))
+        pivot, defer, s, reach = _target(h, col, states, len(values), max_abs, max_nonzeros, dtype)
     return states, DiophStats(nodes_visited=visited, leaves=len(states))
 
 

@@ -237,6 +237,15 @@ class TestSolveDiophantine:
         with pytest.raises(ValueError):
             solve_diophantine_sparse(IntMatrix(((1, 1),)), S3, 3)
 
+    @pytest.mark.parametrize("budget", [True, 2.0, 2.5, "2"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_nonzeros"):
+            solve_diophantine_sparse(IntMatrix(((1, 1),)), S3, budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        tree, _ = solve_diophantine_sparse(IntMatrix(((1, 1),)), S3, np.int64(2))
+        assert tree_leaves(tree) == [(-1, 1), (0, 0), (1, -1)]
+
     def test_zero_matrix_gives_budgeted_product(self):
         tree, _ = solve_diophantine_sparse(IntMatrix.zeros(2, 3), S3, 1)
         want = sorted(
@@ -378,6 +387,54 @@ class TestJoin:
         assert tree_leaves(F) == want_leaves == oracle_F(A, alphabet, k)
         assert stats.nodes_visited == want_nodes
 
+    @pytest.mark.parametrize(
+        "rows, values, k",
+        [
+            # the walk cuts every frontier row, and the block (0 not in S,
+            # one column, no nonzero allowed) is empty too
+            ([[1, 0, 0]], (1, 2), 0),
+            # the frontier is empty but the block is not
+            ([[1, 0, 0, 0]], (1, 2), 1),
+        ],
+        ids=["both-empty", "empty-frontier"],
+    )
+    def test_empty_frontier_or_block(self, monkeypatch, rows, values, k):
+        A, alphabet = matrix(rows), Alphabet(values)
+        monkeypatch.setattr(dioph, "JOIN_MIN", 1)
+        F, stats = solve_diophantine_sparse(A, alphabet, k)
+        want_leaves, want_nodes = reference_enumeration(A, alphabet, k)
+        assert F.shape == (0, A.cols)
+        assert tree_leaves(F) == want_leaves == oracle_F(A, alphabet, k) == []
+        assert stats.nodes_visited == want_nodes
+
+    @pytest.mark.parametrize(
+        "rows, alphabet, k",
+        [
+            ([[1] * 9], S3, 5),
+            ([[2, 1, 1, 1, 1, 2, 1, 1, 1], [0, 0, 0, 1, -1, 0, 1, -1, 1]], S3, 4),
+        ],
+        ids=["ones", "two-rows"],
+    )
+    def test_frontier_rows_sharing_residual_and_count(self, monkeypatch, rows, alphabet, k):
+        # small coefficients give many frontier rows one (s, nz): each such
+        # run probes once and its matches go to every row of the run
+        seen = []
+        join = dioph._join
+
+        def spy(row, pivot, defer, states, s, nz, *rest):
+            seen.append((len(states), len(set(zip(s.tolist(), nz.tolist())))))
+            return join(row, pivot, defer, states, s, nz, *rest)
+
+        A = matrix(rows)
+        monkeypatch.setattr(dioph, "JOIN_MIN", 1)
+        monkeypatch.setattr(dioph, "_join", spy)
+        F, stats = solve_diophantine_sparse(A, alphabet, k)
+        want_leaves, want_nodes = reference_enumeration(A, alphabet, k)
+        assert any(n >= 3 * runs for n, runs in seen)
+        assert tree_leaves(F) == want_leaves == oracle_F(A, alphabet, k)
+        assert len(want_leaves) > 1
+        assert stats.nodes_visited == want_nodes
+
     def test_key_beyond_int64_with_int64_residual(self):
         # pivot 0 leaves a 9-column segment, and 3^9 >= JOIN_MIN.  sum |h_k|
         # is below 2**62, so s is int64, but (K + 2) times it is not: the
@@ -440,11 +497,21 @@ class TestUnboundedIntegers:
 
 
 class TestMemoryWall:
-    """A wide S5 shape whose frontier reached 8.5M rows before the reach filter."""
+    """Wide S5 shapes whose frontier reached 8.5M rows before the reach filter."""
 
-    def test_wide_shape_enumerates_and_solves(self):
+    @pytest.mark.parametrize(
+        "n_cols, nodes, peak_mb, objective",
+        [
+            # the join at the last pivot: 5,757,810 nodes and a peak near 60 MB without it
+            (22, 336_704, 32, 20.32868691751819),
+            # a tracemalloc peak of 28.0 MB when every frontier row probed the block alone
+            (24, 947_268, 24, 24.93563921379626),
+        ],
+        ids=["3x22", "3x24"],
+    )
+    def test_wide_shape_enumerates_and_solves(self, n_cols, nodes, peak_mb, objective):
         instance, _ = generate_instance(
-            GenSpec(3, 22, 4, S5, n_constraints=8, sparsity=6, sigma=0.5, seed=1)
+            GenSpec(3, n_cols, 4, S5, n_constraints=8, sparsity=6, sigma=0.5, seed=1)
         )
         tracemalloc.start()
         try:
@@ -452,9 +519,8 @@ class TestMemoryWall:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the join at the last pivot: 5,757,810 nodes and a peak near 60 MB without it
-        assert stats.nodes_visited == 336_704
-        assert peak <= 32 * 2**20
+        assert stats.nodes_visited == nodes
+        assert peak <= peak_mb * 2**20
         leaves = tree_leaves(F)
         assert len(leaves) == stats.leaves == 29
         for x in leaves:
@@ -463,7 +529,7 @@ class TestMemoryWall:
             assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in instance.A.entries)
         res = solve(instance)
         assert res.stats.dioph_nodes == stats.nodes_visited
-        assert res.objective == pytest.approx(20.32868691751819, rel=1e-9)
+        assert res.objective == pytest.approx(objective, rel=1e-9)
 
 
 class TestEquationOrder:
