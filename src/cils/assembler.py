@@ -105,6 +105,7 @@ class ProblemInstance:
     G must have full
     column rank, so M >= N, and every alphabet value must convert to a float
     for the decoder, at a scale where ||Y - G X||^2 stays a finite float.
+    A must be an IntMatrix and alphabet an Alphabet.
     The QR-factored G that every decode reuses is built once, as `lattice`.
     """
 
@@ -117,6 +118,10 @@ class ProblemInstance:
     lattice: PreparedLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name, kind in (("A", IntMatrix), ("alphabet", Alphabet)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name}: expected an {kind.__name__}, got {type(value).__name__}")
         for name in ("sparsity", "target_rank"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         Y = np.array(self.Y, dtype=float)

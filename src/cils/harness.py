@@ -48,7 +48,7 @@ class GenSpec:
     the row length; n_meas the number of measurement rows in Y and G;
     n_constraints the number of rows in A.  sigma scales the i.i.d. Gaussian
     noise added to Y.  The integer fields must be integers (a bool is
-    rejected) and sigma a finite nonnegative real.
+    rejected), alphabet an Alphabet and sigma a finite nonnegative real.
     """
 
     n_rows: int
@@ -62,6 +62,8 @@ class GenSpec:
     trials: int = 5
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alphabet, Alphabet):
+            raise ValueError(f"alphabet: expected an Alphabet, got {type(self.alphabet).__name__}")
         for name in _INTEGER_FIELDS:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "sigma", _noise_scale(self.sigma, "sigma"))

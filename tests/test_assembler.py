@@ -84,6 +84,14 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match=f"{field}: expected an integer"):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, **kwargs)
 
+    @pytest.mark.parametrize("field, kind", [("A", "IntMatrix"), ("alphabet", "Alphabet")])
+    def test_bare_tuple_matrix_or_alphabet_rejected(self, ex_Y, ex_G, ex_A, s3, field, kind):
+        # refused by name before A.cols or alphabet.values is read
+        kwargs = {"A": ex_A, "alphabet": s3}
+        kwargs[field] = ex_A.entries if field == "A" else s3.values
+        with pytest.raises(ValueError, match=f"{field}: expected an {kind}, got tuple"):
+            ProblemInstance(Y=ex_Y, G=ex_G, sparsity=4, target_rank=3, **kwargs)
+
     def test_integer_types_become_python_ints(self, ex_Y, ex_G, ex_A, s3):
         inst = ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=np.int64(4),
                                target_rank=np.int8(3))
@@ -652,13 +660,14 @@ class TestSolve:
         # with a decoder in the search: 10,970 with the per-instance suffix
         # of column floors, 14,185 with rank-dead subtrees cut at the leaves
         # alone, 189,505 with the outside-span bound), and the search calls
-        # no decoder; the prunes by reason are pinned too
+        # no decoder; the prunes by reason and the Diophantine nodes are
+        # pinned too
         objectives = [
             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
             [18.969213179759812, 23.041300291816217, 15.973124163967451, 24.578878819742226],
         ]
-        reads = rank_rejects = bound_prunes = 0
+        reads = rank_rejects = bound_prunes = nodes = 0
         for spec, wants in zip(load_specs(HARD_TIER), objectives, strict=True):
             for trial_seed, want in zip(trial_seeds(spec), wants, strict=True):
                 inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
@@ -669,19 +678,21 @@ class TestSolve:
                 reads += res.stats.column_reads
                 rank_rejects += res.stats.rank_rejects
                 bound_prunes += res.stats.bound_prunes
+                nodes += res.stats.dioph_nodes
         assert reads == 1_248
         assert rank_rejects == 47
         assert bound_prunes == 1_417
+        assert nodes == 26_010
 
     def test_stretch_tier_objectives_and_decodes_asked(self):
         # the 4 stretch-tier instances: objectives pinned, and the column
         # reads of the search (as many decodes asked for with a decoder in
         # the search; 93,681 with the per-instance suffix of column floors,
-        # 126,318 with rank-dead subtrees cut at the leaves alone), and the
-        # prunes by reason
+        # 126,318 with rank-dead subtrees cut at the leaves alone), the
+        # prunes by reason and the Diophantine nodes
         objectives = [38.400958083654245, 31.452660276391825, 30.201242185320734, 28.95642576897489]
         (spec,) = load_specs(STRETCH_TIER)
-        reads = rank_rejects = bound_prunes = 0
+        reads = rank_rejects = bound_prunes = nodes = 0
         for trial_seed, want in zip(trial_seeds(spec), objectives, strict=True):
             inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seed))
             res = solve(inst)
@@ -690,9 +701,11 @@ class TestSolve:
             reads += res.stats.column_reads
             rank_rejects += res.stats.rank_rejects
             bound_prunes += res.stats.bound_prunes
+            nodes += res.stats.dioph_nodes
         assert reads == 1_349
         assert rank_rejects == 86
         assert bound_prunes == 4_897
+        assert nodes == 6_674
 
     def test_noisy_tier_trial_objective(self):
         # trial 1 of the sigma = 1.0 stretch shape (scripts/noisy_tier.json):

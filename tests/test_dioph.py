@@ -304,7 +304,8 @@ class TestSolveDiophantine:
     @settings(max_examples=30)
     def test_monotone_budget_pruning(self, data):
         # budget 0 cuts every nonzero partial path at once: each free column
-        # examines |S| values and keeps only 0, each pivot column one imputation
+        # examines |S| values and keeps only 0, and each pivot column counts
+        # one node a row, since only the quotient 0 can pass there
         A = matrix(random_rows(data, 1, 4, 2, 7, 4))
         _, stats = solve_diophantine_sparse(A, S3, 0)
         pivots = int_rank(A)
@@ -435,12 +436,12 @@ class TestJoin:
         assert len(want_leaves) > 1
         assert stats.nodes_visited == want_nodes
 
-    def test_key_beyond_int64_with_int64_residual(self):
+    def test_join_key_beyond_int64_does_not_wrap(self):
         # pivot 0 leaves a 9-column segment, and 3^9 >= JOIN_MIN.  sum |h_k|
-        # is below 2**62, so s is int64, but (K + 2) times it is not: the
-        # join keys must be Python ints.  Columns 1..4 are deferred,
-        # and their all-ones block sums to 2**61, whose key 8 * 2**61 + 4
-        # would wrap to 4 and match the all-zero frontier row
+        # is below 2**62 but (K + 2) times it is not, so s and the join keys
+        # are Python ints.  Columns 1..4 are deferred, and their all-ones
+        # block sums to 2**61, whose key 8 * 2**61 + 4 would wrap to 4 in
+        # int64 and match the all-zero frontier row; it must not
         a = 2**58
         row = (1, 2 * a, 2 * a, 2 * a, 2 * a, a, -a, a + 1, -(a + 1), -1)
         assert len(S3) ** 9 >= dioph.JOIN_MIN

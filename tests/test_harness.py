@@ -61,6 +61,10 @@ class TestGenSpec:
         with pytest.raises(ValueError, match=f"{field}: expected an integer"):
             small_spec(**{field: value})
 
+    def test_alphabet_must_be_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet: expected an Alphabet, got tuple"):
+            GenSpec(3, 7, 4, (-1, 0, 1))
+
     def test_integer_fields_become_python_ints(self):
         spec = small_spec(n_rows=np.int16(2), seed=np.uint32(7))
         assert type(spec.n_rows) is int and type(spec.seed) is int
