@@ -5,18 +5,20 @@ from a finite alphabet, whose rows each satisfy A x = 0 with at most K
 nonzeros, and whose rank equals the number of rows N.
 
 The solve runs in two stages.  Stage one enumerates the feasible row set F
-once (see dioph).  Stage two sorts F once and walks the columns left to
-right.  With columns 0..j-1 fixed, the rows of F that agree with an output
-row's choices so far form one contiguous range of the sorted F, so a search
-node is one (lo, hi) index pair per output row, plus the bit mask of the
-values those ranges take (see below).  For each column the search reads its
-candidate column vectors off the per-instance floor table (see below): the
-points x of that column's table whose entry x_i is a value that output row
-i's range takes there, in order of their distance to that column of Y.  It
-recurses on each after narrowing the ranges to the rows that take its
-values (prune_with_column).  Each range is split into its per-value
-sub-ranges, each with its mask, once per solve, the first time the search
-narrows it (RangeBound.splits).
+once (see dioph) and checks that its rows span rank N, or raises
+InfeasibleError with the rank they do span; the span test reads the sorted
+rows only until N of them are independent (int_rank's stop).  Stage two
+sorts F once and walks the columns left to right.  With columns 0..j-1
+fixed, the rows of F that agree with an output row's choices so far form one
+contiguous range of the sorted F, so a search node is one (lo, hi) index
+pair per output row, plus the bit mask of the values those ranges take (see
+below).  For each column the search reads its candidate column vectors off
+the per-instance floor table (see below): the points x of that column's
+table whose entry x_i is a value that output row i's range takes there, in
+order of their distance to that column of Y.  It recurses on each after
+narrowing the ranges to the rows that take its values (prune_with_column).
+Each range is split into its per-value sub-ranges, each with its mask, once
+per solve, the first time the search narrows it (RangeBound.splits).
 
 Rank: a row is settled once its range holds a single row, and it keeps that
 row in every leaf below.  A branch is cut as soon as a settled row is zero
@@ -70,7 +72,6 @@ import math
 import operator
 import sys
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,7 +264,7 @@ class RangeBound:
     Every cache is filled on first use and kept for the rest of the solve:
     `splits` maps (j, lo, hi) to the {value: ((lo', hi'), mask')} table of
     the sub-ranges of rows[lo:hi] per column-j value, in ascending value
-    order, each with its range mask, so each range is bisected once per
+    order, each with its range mask, so each range is split once per
     solve however often the search reaches it; `lines` maps a settled row's
     index to its line key (see _line); `memo[k]` maps a column-k mask to its
     floor; and `reads[k]` maps a column-k mask that the search has read to
@@ -276,11 +277,10 @@ class RangeBound:
         n, width, n_cols = instance.n_rows, len(values), instance.n_cols
         self.field = field = n * width
         self.rows = tuple(feasible)
-        index = {v: t for t, v in enumerate(values)}
-        # a row takes one value per column, so the sum of its bits is their OR
-        self.row_masks = [
-            sum(1 << (k * field + index[v]) for k, v in enumerate(row)) for row in self.rows
-        ]
+        # bits[k] maps a value to its bit at column k; a row takes one value
+        # per column, so the sum of its bits is their OR
+        bits = [{v: 1 << (k * field + t) for t, v in enumerate(values)} for k in range(n_cols)]
+        self.row_masks = [sum(map(operator.getitem, bits, row)) for row in self.rows]
         whole = functools.reduce(operator.or_, self.row_masks)
         allowed = [[whole >> (k * field + t) & 1 for t in range(width)] for k in range(n_cols)]
         # the table's one pass holds L |W|^N points, W the values F takes
@@ -332,18 +332,21 @@ def _split(bound: RangeBound, key: tuple[int, int, int]) -> dict[int, tuple[tupl
     """Make and store the splits entry of key (j, lo, hi): range (lo, hi) at column j.
 
     The rows of a range agree on columns 0..j-1, so their j-th entries are
-    sorted and each distinct value's sub-range is one bisect away from the
-    last.
+    sorted: one scan closes a value's sub-range, with the OR of its row
+    masks, where the next value starts.
     """
     j, lo, hi = key
     rows, row_masks = bound.rows, bound.row_masks
-    column = operator.itemgetter(j)
     table = {}
-    while lo < hi:
-        v = rows[lo][j]
-        end = bisect_right(rows, v, lo, hi, key=column)
-        table[v] = ((lo, end), functools.reduce(operator.or_, row_masks[lo:end]))
-        lo = end
+    v, start, mask = rows[lo][j], lo, row_masks[lo]
+    for i in range(lo + 1, hi):
+        w = rows[i][j]
+        if w == v:
+            mask |= row_masks[i]
+        else:
+            table[v] = ((start, i), mask)
+            v, start, mask = w, i, row_masks[i]
+    table[v] = ((start, hi), mask)
     bound.splits[key] = table
     return table
 
@@ -550,7 +553,7 @@ def solve(instance: ProblemInstance) -> SolveResult:
     )
     stats.dioph_nodes = dstats.nodes_visited
     feasible = tree_leaves(F)
-    span_rank = int_rank(IntMatrix(tuple(feasible))) if feasible else 0
+    span_rank = int_rank(IntMatrix(tuple(feasible)), stop=instance.target_rank) if feasible else 0
     if span_rank < instance.target_rank:
         raise InfeasibleError(
             f"feasible rows span rank {span_rank}, below target {instance.target_rank}",

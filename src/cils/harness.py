@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -151,8 +152,9 @@ def load_specs(path) -> list[GenSpec]:
 
 def _draw_planted_rows(rng: np.random.Generator, spec: GenSpec) -> IntMatrix | None:
     """N random sparse alphabet rows with exact rank N, or None if stuck."""
-    nonzero_vals = [v for v in spec.alphabet if v != 0]
-    if not nonzero_vals:
+    # one array for every rng.choice below, which would convert a list per call
+    nonzero_vals = np.array([v for v in spec.alphabet if v != 0])
+    if not nonzero_vals.size:
         return None
     rows: list[IntVector] = []
     for i in range(spec.n_rows):
@@ -183,17 +185,15 @@ def _constraint_matrix(
     """
     H, U = hermite_decomposition(planted.transpose())
     basis = [u for h, u in zip(H.entries, U.entries) if not any(h)]
+    columns = list(zip(*basis))
     rows: list[IntVector] = []
     for _ in range(spec.n_constraints):
         if not basis:
             rows.append((0,) * spec.n_cols)
             continue
         for _ in range(20):
-            coeffs = rng.integers(-3, 4, size=len(basis))
-            combo = tuple(
-                sum(int(c) * b[k] for c, b in zip(coeffs, basis))
-                for k in range(spec.n_cols)
-            )
+            coeffs = rng.integers(-3, 4, size=len(basis)).tolist()
+            combo = tuple(sum(map(operator.mul, coeffs, col)) for col in columns)
             if any(combo):
                 rows.append(combo)
                 break
@@ -210,7 +210,7 @@ def generate_instance(spec: GenSpec) -> tuple[ProblemInstance, IntMatrix]:
         if planted is None:
             continue
         A = _constraint_matrix(rng, planted, spec)
-        if not (A @ planted.transpose()).is_zero():
+        if any(sum(map(operator.mul, a, x)) for a in A.entries for x in planted.entries):
             continue
         G = np.abs(rng.standard_normal((spec.n_meas, spec.n_rows)))
         noise = rng.standard_normal((spec.n_meas, spec.n_cols)) * spec.sigma

@@ -5,14 +5,17 @@ overflow and no floating-point round-off anywhere in this module.  The rest
 of the package relies on that: feasible-set enumeration reduces constraint
 matrices with `hermite_normal_form` (H alone), instance generation reads
 the unimodular transform off `hermite_decomposition` (H and U from one
-elimination on [A | I]), and the rank constraint on assembled solutions is
-checked with `int_rank`.
+elimination on [A | I]), and rank is decided by `int_rank(M, stop=None)`,
+fraction-free elimination one row at a time: the rank of assembled
+solutions in full, and whether the feasible rows reach rank N with
+stop=N, which reads rows only until N of them are independent.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, count
 
 
 def _integer(value, name: str) -> int:
@@ -184,28 +187,35 @@ def validate_hnf(H: IntMatrix, U: IntMatrix, A: IntMatrix) -> bool:
     return True
 
 
-def int_rank(M: IntMatrix) -> int:
-    """Exact rank over the rationals, via fraction-free (Bareiss) elimination."""
-    m = [list(row) for row in M.entries]
-    nr, nc = M.rows, M.cols
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nr):
-            f = m[r][col]
-            row_r, row_p = m[r], m[rank]
-            for c2 in range(col + 1, nc):
-                row_r[c2] = (p * row_r[c2] - f * row_p[c2]) // prev
-            row_r[col] = 0
-        prev = p
-        rank += 1
-    return rank
+def int_rank(M: IntMatrix, stop: int | None = None) -> int:
+    """Exact rank over the rationals, via fraction-free (Bareiss) elimination.
 
+    Rows are taken one at a time: each is reduced against the independent
+    rows kept so far, b_1.., as v = (p_i v - v[c_i] b_i) // p_{i-1}, with c_i
+    the pivot column of b_i, p_i = b_i[c_i] and p_0 = 1.  Each division is
+    exact (Sylvester's identity), so every entry is a minor of M and stays
+    polynomial in size.  A row that reduces to zero depends on the kept rows
+    and is dropped; any other is kept, with its first nonzero entry as pivot.
+
+    With `stop`, returns min(rank, stop) and reads no row past the stop-th
+    independent one; stop must be an int of at least 1 (no bool).
+    """
+    limit = M.cols  # no rank exceeds the column count
+    if stop is not None:
+        stop = _integer(stop, "stop")
+        if stop < 1:
+            raise ValueError(f"stop must be at least 1, got {stop}")
+        limit = min(limit, stop)
+    basis: list[tuple[int, int, list[int]]] = []
+    for v in M.entries:
+        prev = 1
+        for c, p, b in basis:
+            f = v[c]
+            v = [(p * x - f * y) // prev for x, y in zip(v, b)]
+            prev = p
+        c = next(compress(count(), v), None)
+        if c is not None:
+            basis.append((c, v[c], v))
+            if len(basis) == limit:
+                break
+    return len(basis)

@@ -43,6 +43,7 @@ from cils.assembler import (
     RangeBound,
     _line,
     _settled_rows_dependent,
+    _split,
     derive_column_sets,
     prune_with_column,
 )
@@ -314,6 +315,30 @@ class TestRowRanges:
                         want |= 1 << (k * field + t)
             assert got == want
 
+    @given(rows=unsorted_rows(), n_rows=st.integers(1, 4))
+    @example(rows=[(3, 1, 0)], n_rows=1)  # one row: every range holds a single row
+    @example(rows=[(0, 1), (0, 2), (0, -1)], n_rows=2)  # column 0 takes a single value
+    def test_split_matches_grouping(self, rows, n_rows):
+        # every range the search can reach at column j, the rows sharing a
+        # prefix of length j, split by groupby on column j with its masks' OR
+        bound = bound_over(rows, n_rows)
+        indices = range(len(bound.rows))
+        for j in range(len(rows[0])):
+            for _, group in itertools.groupby(indices, key=lambda r: bound.rows[r][:j]):
+                group = list(group)
+                expected = {}
+                for v, sub in itertools.groupby(group, key=lambda r: bound.rows[r][j]):
+                    sub = list(sub)
+                    mask = 0
+                    for r in sub:
+                        mask |= bound.row_masks[r]
+                    expected[v] = ((sub[0], sub[-1] + 1), mask)
+                key = (j, group[0], group[-1] + 1)
+                table = _split(bound, key)
+                assert table == expected
+                assert list(table) == sorted(table)
+                assert bound.splits[key] is table
+
     @given(rows=unsorted_rows(), n_rows=st.integers(1, 4), data=st.data())
     def test_walk_matches_tuple_filter(self, rows, n_rows, data):
         bound = bound_over(rows, n_rows)
@@ -438,8 +463,8 @@ class TestSettledLineTest:
         inst, _ = generate_instance(spec)
         ranks = []
 
-        def recorded_rank(X):
-            ranks.append(int_rank(X))
+        def recorded_rank(X, stop=None):
+            ranks.append(int_rank(X, stop))
             return ranks[-1]
 
         monkeypatch.setattr(cils.assembler, "int_rank", recorded_rank)
@@ -579,6 +604,35 @@ class TestSolve:
         with pytest.raises(InfeasibleError) as exc_info:
             solve(inst)
         assert exc_info.value.feasible_rank == 1
+
+    def test_certificate_exact_below_target_at_three_rows(self):
+        # planted with N - 1 = 2 rows and posed at target rank 3 with a fresh
+        # 4x3 G: the feasible rows span rank 2, which the certificate reports
+        spec = GenSpec(n_rows=2, n_cols=7, n_meas=4, alphabet=S3, seed=11)
+        base, _ = generate_instance(spec)
+        G = np.abs(np.random.default_rng(11).standard_normal((4, 3)))
+        inst = ProblemInstance(Y=base.Y, G=G, A=base.A, alphabet=S3, sparsity=spec.sparsity,
+                               target_rank=3)
+        F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
+        assert len(tree_leaves(F)) > 3
+        with pytest.raises(InfeasibleError, match="span rank 2, below target 3") as exc_info:
+            solve(inst)
+        assert exc_info.value.feasible_rank == 2
+
+    def test_certificate_reads_past_zero_and_collinear_rows(self):
+        # x0 + x1 + x2 = x3 over {0, 1, 2}: the sorted feasible rows start
+        # (0,0,0,0), (0,0,1,1), (0,0,2,2), so the first three add rank 1
+        alphabet = Alphabet((0, 1, 2))
+        rng = np.random.default_rng(5)
+        inst = ProblemInstance(Y=rng.standard_normal((4, 4)), G=rng.standard_normal((4, 3)),
+                               A=IntMatrix(((1, 1, 1, -1),)), alphabet=alphabet, sparsity=4,
+                               target_rank=3)
+        F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
+        assert tree_leaves(F)[:3] == [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 2, 2)]
+        res = solve(inst)
+        verify_solution(inst, res.X)
+        ref = oracle_solve(inst)
+        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
 
     def test_first_cap_clamped_below_float_max(self, s3):
         # ||Y - G X||^2 is finite but sits just under the float limit, so

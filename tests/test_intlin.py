@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cils import (
@@ -179,6 +179,24 @@ class TestHermiteNormalForm:
             assert in_a == in_h
 
 
+@st.composite
+def stopped_matrices(draw):
+    """Matrices of 1-6 rows whose rows are small combinations of 1-4 base rows.
+
+    Base entries come from 0, +-1, +-7 and +-10**19, so most draws are rank
+    deficient and many carry entries far past 64 bits.
+    """
+    cols = draw(st.integers(1, 5))
+    entry = st.sampled_from((0, 1, -1, 7, -7, 10**19, -(10**19)))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=4))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    rows = [
+        tuple(sum(c * b[k] for c, b in zip(cs, base)) for k in range(cols))
+        for cs in draw(st.lists(coeffs, min_size=1, max_size=6))
+    ]
+    return IntMatrix(tuple(rows))
+
+
 class TestIntRank:
     def test_worked_solution_has_rank_three(self):
         assert int_rank(IntMatrix(X_A_ROWS)) == 3
@@ -192,6 +210,37 @@ class TestIntRank:
     @given(int_matrices)
     def test_agrees_with_fraction_oracle(self, A):
         assert int_rank(A) == fraction_rank(A.entries)
+
+    @given(stopped_matrices())
+    @example(IntMatrix(((10**19, -(10**19), 0), (-(10**19), 10**19, 0), (0, 0, 0), (1, -1, 10**19))))
+    def test_stop_caps_the_rank(self, A):
+        rank = fraction_rank(A.entries)
+        assert int_rank(A) == int_rank(A, stop=None) == rank
+        for stop in range(1, A.rows + 2):
+            assert int_rank(A, stop=stop) == min(rank, stop)
+
+    def test_stop_reads_no_row_past_the_stopth_independent_one(self):
+        read = []
+
+        class Recording(tuple):
+            def __iter__(self):
+                for row in tuple.__iter__(self):
+                    read.append(row)
+                    yield row
+
+        rows = ((0, 0, 0, 0), (1, 2, 3, 0), (-2, -4, -6, 0), (0, 1, 0, 0), (5, 5, 5, 0), (0, 0, 1, 0))
+        A = IntMatrix(rows)
+        object.__setattr__(A, "entries", Recording(rows))
+        assert int_rank(A, stop=2) == 2
+        assert read == list(rows[:4])
+        read.clear()
+        assert int_rank(A) == 3
+        assert read == list(rows)
+
+    @pytest.mark.parametrize("stop", [True, False, 0, -1, 2.0, "2"])
+    def test_stop_must_be_a_positive_int(self, stop):
+        with pytest.raises(ValueError, match="stop"):
+            int_rank(IntMatrix(((1, 0), (0, 1))), stop=stop)
 
     @given(int_matrices)
     def test_invariant_under_row_negation_and_swap(self, A):
