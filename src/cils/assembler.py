@@ -21,9 +21,11 @@ Each range is split into its per-value sub-ranges, each with its mask, once
 per solve, the first time the search narrows it (RangeBound.splits).
 
 Rank: a row is settled once its range holds a single row, and it keeps that
-row in every leaf below.  A branch is cut as soon as a settled row is zero
-or two settled rows lie on one line through 0 (equal primitive forms, see
-_line), which covers duplicated rows too; no leaf below it has rank N.
+row in every leaf below.  A node whose rows are all settled fixes X, so it
+is a leaf and reads no column: the rows of F are distinct, so every node
+past the last column is one.  A branch is cut as soon as a settled row is
+zero or two settled rows lie on one line through 0 (equal primitive forms,
+see _line), which covers duplicated rows too; no leaf below it has rank N.
 Dependence among three or more settled rows is not tested there, so leaves
 are still rank-checked exactly.
 
@@ -56,11 +58,15 @@ reaches best, `rest` the sum of its floors over columns j+1..: these are the
 candidates sphere_decode returns at radius sqrt(best - acc - rest) over the
 per-row candidate sets (one Alphabet per row, as derive_column_sets returns
 them), in its order.  The points a mask holds are listed once per solve
-(RangeBound.reads).  Every prune discards only leaves costing at least the
-best objective, so a pass that finds a leaf returns the global optimum, and
-a pass that finds none proves the optimum is at least the cap.  The first
-cap is L d^2, with d
-the Babai radius of column 0 (spheredec.babai_radius: the residual of the
+(RangeBound.reads).  A leaf is rank-checked and scored as soon as its rows
+settle, and a leaf whose objective reaches the best counts as a bound
+prune; the bound test that admitted it already summed the floors of its
+remaining columns, each its one point's cost shrunk, so reading them one by
+one would only repeat, up to rounding, the test its objective makes.  Every
+prune discards only leaves costing at least the best objective, so a pass
+that finds a leaf returns the global optimum, and a pass that finds none
+proves the optimum is at least the cap.  The first cap is L d^2, with d the
+Babai radius of column 0 (spheredec.babai_radius: the residual of the
 column's least-squares point snapped into its candidate sets), clamped below
 the largest finite float; it doubles after each pass that finds nothing.
 """
@@ -203,11 +209,13 @@ class SolveStats:
 
     `radius_expansions` counts the doublings of the objective cap after
     passes that found no leaf.  `column_reads` counts the nodes that read
-    their candidates for a column off the floor table.  The prunes by
-    reason: `rank_rejects`, at leaves (exact rank below N) and at inner
-    nodes (a settled row zero or two on one line), and `bound_prunes`, a
-    node (a child, or the root of a pass) whose cost so far plus its own
-    floors reaches the best objective, or a column read the bound stopped.
+    their candidates for a column off the floor table; a node whose rows are
+    all settled is a leaf and reads none.  The prunes by reason:
+    `rank_rejects`, at leaves (exact rank below N) and at inner nodes (a
+    settled row zero or two on one line), and `bound_prunes`, a node (a
+    child, or the root of a pass) whose cost so far plus its own floors
+    reaches the best objective, a column read the bound stopped, or a leaf
+    whose objective reaches the best.
     `backtracks` (= rank_rejects) and `sphere_calls` (0: the search decodes
     nothing) are read-only properties, not fields.
     """
@@ -473,7 +481,8 @@ def _search(
     The running best objective starts at the cap.  A node at column j is its
     ranges, their mask and floors (see RangeBound) and `rest`, the floors'
     sum over columns j+1..  Every node, the root included, is dropped once
-    acc plus its own floors from column j on reaches the best objective.  Its
+    acc plus its own floors from column j on reaches the best objective.  A
+    node whose ranges each hold a single row is a leaf.  Any other node's
     candidates are the points of the floor table's column j that the
     column-j field of its mask holds, in the table's (cost, x) order, listed
     once per solve per mask (RangeBound.reads), and the read stops at the
@@ -487,7 +496,6 @@ def _search(
     """
     Y, G = instance.Y, instance.G
     rows = bound.rows
-    n_cols = instance.n_cols
     table, reads = bound.table, bound.reads
     field, full = bound.field, bound.full
     best_obj = cap
@@ -497,7 +505,7 @@ def _search(
         j: int, spans: Spans, acc: float, mask: int, floors: list[float], rest: float
     ) -> None:
         nonlocal best_obj, best_X
-        if j == n_cols:
+        if all(hi - lo == 1 for lo, hi in spans):
             X = IntMatrix(tuple(rows[lo] for lo, _ in spans))
             if int_rank(X) != instance.target_rank:
                 stats.rank_rejects += 1
@@ -506,6 +514,8 @@ def _search(
             if obj < best_obj:
                 best_obj = obj
                 best_X = X
+            else:
+                stats.bound_prunes += 1
             return
         stats.column_reads += 1
         key = (mask >> (j * field)) & full

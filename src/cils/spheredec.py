@@ -27,8 +27,10 @@ for the same point.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -51,6 +53,9 @@ BOUND_SLACK = 1e-9
 # an m x n G; a slack relative to d^2 alone loses boundary points once ||y||
 # is large against d
 ROUNDING_SLACK = 16.0 * sys.float_info.epsilon
+
+# most point products, one per (values, W, N), that FloorTable keeps
+POINT_PRODUCTS_KEPT = 8
 
 
 class SphereCandidate(NamedTuple):
@@ -204,26 +209,38 @@ class FloorTable:
     mask holds, in sorted order, and floor(k, mask) is the least floor over
     them: the floor of the first one.
 
-    The costs ||y_k - G x||^2 are computed directly from y and G, in one pass
+    `values` must be strictly increasing integers; anything else is refused
+    with ValueError, since the point order and codes depend on it.  The
+    costs ||y_k - G x||^2 are computed directly from y and G, in one pass
     over every column and every x in W^N, W the values some column allows,
-    so the pass holds L |W|^N points.  Each column is sorted by cost with a
-    stable sort over the points in lexicographic order, so its points come in
-    sphere_decode's (dist2, x) order, and the points a mask holds with cost
-    below b are, up to the decoder's boundary slack, the candidates a decode
-    at radius sqrt(b) over that product returns: the table is a
-    Schnorr-Euchner enumeration of the whole sphere.
+    so the pass holds L |W|^N points.  The product W^N itself, each point's
+    value indices, code and tuple, depends only on (values, W, N): it is
+    built once per shape and shared, read-only, by every table of that
+    shape (the POINT_PRODUCTS_KEPT most recently used shapes are kept).
+    Each column is sorted by cost with a stable sort over the points in
+    lexicographic order, so its points come in sphere_decode's (dist2, x)
+    order, and the points a mask holds with cost below b are, up to the
+    decoder's boundary slack, the candidates a decode at radius sqrt(b) over
+    that product returns: the table is a Schnorr-Euchner enumeration of the
+    whole sphere.
 
     A point's floor is its cost shrunk, when floor() reads it, by the
     decoder's rounding allowance `tau[k]` (see ROUNDING_SLACK) and by
     BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point, at
     any scale of y.  `costs[k]`, `codes[k]` and `points[k]` list column k's
     points in sorted order; the point tuples, drawn from `values`, are shared
-    by every column.
+    by every column and every table of the shape.
     """
 
     def __init__(self, lattice: PreparedLattice, Y, values, allowed) -> None:
         Gm = lattice.G
         m, n = Gm.shape
+        try:
+            values = tuple(map(operator.index, values))
+        except TypeError:
+            raise ValueError(f"values must be integers, got {values!r}") from None
+        if not all(map(int.__lt__, values, values[1:])):
+            raise ValueError(f"values must be strictly increasing, got {values!r}")
         Y = np.asarray(Y, dtype=float)
         vals = np.asarray(values, dtype=float)
         allowed = np.asarray(allowed, dtype=bool)
@@ -238,10 +255,8 @@ class FloorTable:
             )
         if not allowed.any(axis=1).all():
             raise ValueError("every column needs at least one allowed value")
-        width = len(vals)
-        t = np.flatnonzero(allowed.any(axis=0))
-        # every point of W^N, coordinate 0 varying slowest
-        digits = t[np.indices((len(t),) * n).reshape(n, -1)]
+        taken = tuple(np.flatnonzero(allowed.any(axis=0)).tolist())
+        digits, codes, points = _point_product(values, taken, n)
         r = Y[:, :, None] - (Gm @ vals[digits])[:, None, :]
         cost = np.einsum("ikp,ikp->kp", r, r)
         # points outside V_k^N sort last, with an infinite cost
@@ -249,14 +264,6 @@ class FloorTable:
         cost[~inside] = np.inf
         order = np.argsort(cost, axis=1, kind="stable")
         cost = np.take_along_axis(cost, order, axis=1)
-        # Python ints, so codes wider than 64 bits stay exact; both lists run
-        # over W^N in the order of `digits`
-        picked = t.tolist()
-        codes = [0]
-        for i in range(n):
-            bits = [1 << (i * width + v) for v in picked]
-            codes = [c | b for c in codes for b in bits]
-        points = list(itertools.product([values[v] for v in picked], repeat=n))
         # only the first counts[k] points of column k lie in V_k^N
         counts = inside.sum(axis=1).tolist()
         order = [o[:c].tolist() for o, c in zip(order, counts)]
@@ -280,6 +287,28 @@ class FloorTable:
                 d = max(math.sqrt(cost) - self.tau[k], 0.0)
                 return d * d * (1.0 - BOUND_SLACK)
         return math.inf
+
+
+@functools.lru_cache(maxsize=POINT_PRODUCTS_KEPT)
+def _point_product(
+    values: tuple[int, ...], taken: tuple[int, ...], n: int
+) -> tuple[np.ndarray, tuple[int, ...], tuple[IntVector, ...]]:
+    """Every point of W^N, W = values[taken], coordinate 0 varying slowest.
+
+    Returns the N x |W|^N array of the points' value indices (read-only),
+    their FloorTable codes and their tuples, all in that order.  None of
+    them depends on G or Y, so tables of one shape share them.
+    """
+    digits = np.array(taken, dtype=np.intp)[np.indices((len(taken),) * n).reshape(n, -1)]
+    digits.setflags(write=False)
+    # Python ints, so codes wider than 64 bits stay exact
+    width = len(values)
+    codes = [0]
+    for i in range(n):
+        bits = [1 << (i * width + t) for t in taken]
+        codes = [c | b for c in codes for b in bits]
+    points = tuple(itertools.product([values[t] for t in taken], repeat=n))
+    return digits, tuple(codes), points
 
 
 def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:

@@ -545,10 +545,11 @@ class TestSolve:
         assert res.objective <= 1e-18
         assert elapsed < 1.0
         assert res.stats.dioph_nodes > 0
-        # the first cap, from column 0's radius, holds the optimum: one
-        # column read per column and no doubling
+        # the first cap, from column 0's radius, holds the optimum and no
+        # doubling is needed; every output row is settled after three of the
+        # seven columns, so the node there is a leaf and reads no column
         assert res.stats.radius_expansions == 0
-        assert res.stats.column_reads == ex_instance.n_cols
+        assert res.stats.column_reads == 3
 
     def test_result_passes_verification(self, ex_instance):
         verify_solution(ex_instance, solve(ex_instance).X)
@@ -654,7 +655,7 @@ class TestSolve:
         # an exact fit with integer G: Y = G X holds in floats at any scale,
         # so the optimum is 0 and column 0's radius is a cap no pass misses
         # (at 1e12, before the decoder's absolute rounding slack: 40 doublings
-        # and 53 decodes)
+        # and 53 decodes); the rows settle after four of the seven columns
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
         inst0, planted = generate_instance(spec)
         G = np.round(4.0 * inst0.G) * scale
@@ -665,7 +666,7 @@ class TestSolve:
         assert res.X == planted
         assert res.objective == 0.0
         assert res.stats.radius_expansions == 0
-        assert res.stats.column_reads == 7
+        assert res.stats.column_reads == 4
 
     def test_root_meets_the_bound_test(self):
         # the first cap lies between the root's floors over columns 1.. and
@@ -677,7 +678,7 @@ class TestSolve:
         res = solve(inst)
         assert res.objective == 0.9702282964712629
         assert res.stats.radius_expansions == 1
-        assert res.stats.column_reads == 5
+        assert res.stats.column_reads == 3
         assert res.stats.bound_prunes == 3
         assert res.stats.rank_rejects == res.stats.backtracks == 0
 
@@ -692,7 +693,7 @@ class TestSolve:
         res = solve(inst)
         assert res.objective == 1.1920928955078125e-07
         assert res.stats.radius_expansions == 34
-        assert res.stats.column_reads == 80
+        assert res.stats.column_reads == 74
         assert res.stats.bound_prunes == 73
         assert res.stats.rank_rejects == res.stats.backtracks == 0
 
@@ -700,22 +701,22 @@ class TestSolve:
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
         # place of doubling it, takes about 140k decodes; doubling takes 1,683
         # column decodes, and with each node bounded by its own row ranges the
-        # search reads 20 columns
+        # search reads 16 columns
         spec = load_specs(HARD_TIER)[2]
         inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
         res = solve(inst)
         assert res.objective == pytest.approx(23.041300291816217, rel=1e-9)
-        assert res.stats.column_reads == 20
+        assert res.stats.column_reads == 16
 
     def test_hard_tier_objectives_and_decode_budget(self):
         # the 12 hard-tier instances (three shapes, four trial seeds each):
-        # objectives pinned; every node reads its column's candidates off the
-        # floor table, 1,248 reads (as many column decodes were asked for
-        # with a decoder in the search: 10,970 with the per-instance suffix
-        # of column floors, 14,185 with rank-dead subtrees cut at the leaves
-        # alone, 189,505 with the outside-span bound), and the search calls
-        # no decoder; the prunes by reason and the Diophantine nodes are
-        # pinned too
+        # objectives pinned; every node with an unsettled row reads its
+        # column's candidates off the floor table, 1,072 reads (1,248 column
+        # decodes were asked for with a decoder in the search: 10,970 with
+        # the per-instance suffix of column floors, 14,185 with rank-dead
+        # subtrees cut at the leaves alone, 189,505 with the outside-span
+        # bound), and the search calls no decoder; the prunes by reason and
+        # the Diophantine nodes are pinned too
         objectives = [
             [59.77794151376861, 59.826602565707645, 81.07354547789893, 62.7051731000507],
             [14.971390186501065, 22.351722950054363, 17.00516827940072, 20.833650864001527],
@@ -733,15 +734,15 @@ class TestSolve:
                 rank_rejects += res.stats.rank_rejects
                 bound_prunes += res.stats.bound_prunes
                 nodes += res.stats.dioph_nodes
-        assert reads == 1_248
+        assert reads == 1_072
         assert rank_rejects == 47
         assert bound_prunes == 1_417
         assert nodes == 26_010
 
     def test_stretch_tier_objectives_and_decodes_asked(self):
         # the 4 stretch-tier instances: objectives pinned, and the column
-        # reads of the search (as many decodes asked for with a decoder in
-        # the search; 93,681 with the per-instance suffix of column floors,
+        # reads of the search (1,349 decodes asked for with a decoder in the
+        # search; 93,681 with the per-instance suffix of column floors,
         # 126,318 with rank-dead subtrees cut at the leaves alone), the
         # prunes by reason and the Diophantine nodes
         objectives = [38.400958083654245, 31.452660276391825, 30.201242185320734, 28.95642576897489]
@@ -756,7 +757,7 @@ class TestSolve:
             rank_rejects += res.stats.rank_rejects
             bound_prunes += res.stats.bound_prunes
             nodes += res.stats.dioph_nodes
-        assert reads == 1_349
+        assert reads == 1_266
         assert rank_rejects == 86
         assert bound_prunes == 4_897
         assert nodes == 6_674
@@ -782,6 +783,33 @@ class TestSolve:
         res = solve(inst)
         assert res.objective == pytest.approx(59.77794151376861, rel=1e-9)
         assert res.stats.sphere_calls == 0
+
+    def test_settled_node_is_a_leaf(self, ex_instance, ex_X, monkeypatch):
+        # once every row's range holds a single row, X is fixed: the node is
+        # rank-checked and scored at once, so no column is read below it and
+        # ranges that are all single rows are never narrowed.  The worked
+        # example settles after three of its seven columns; the noisy S5
+        # instance cuts rank-dead branches and rank-checks leaves
+        narrowed = []
+
+        def recorded_prune(bound, spans, j, x_col):
+            narrowed.append(all(hi - lo == 1 for lo, hi in spans))
+            return prune_with_column(bound, spans, j, x_col)
+
+        monkeypatch.setattr(cils.assembler, "prune_with_column", recorded_prune)
+        res = solve(ex_instance)
+        assert res.X == ex_X
+        assert res.stats.column_reads == 3 < ex_instance.n_cols
+        spec = GenSpec(n_rows=2, n_cols=5, n_meas=3, alphabet=Alphabet((-2, -1, 0, 1, 2)),
+                       n_constraints=2, sigma=0.8, seed=2)
+        inst, _ = generate_instance(spec)
+        res = solve(inst)
+        assert res.stats.rank_rejects > 0
+        assert res.objective == pytest.approx(oracle_solve(inst).objective, rel=1e-9)
+        spec = load_specs(HARD_TIER)[2]
+        inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
+        assert solve(inst).objective == pytest.approx(23.041300291816217, rel=1e-9)
+        assert narrowed and not any(narrowed)
 
     def test_decodes_reused_across_cap_doublings(self):
         # the first cap is doubled three times here, and the passes read

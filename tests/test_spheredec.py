@@ -4,9 +4,11 @@ The independent reference is oracle_sphere (full product scan, no QR); the
 worked example pins the decoded first and second columns at radius 0.5.  A
 prepared lattice and the raw matrix must decode identically.  The floor
 table is checked against an itertools.product scan, and the points it holds
-for a set of candidate values against the decoder.
+for a set of candidate values against the decoder; tables of one shape,
+which share their point product, against tables built from scratch.
 """
 
+import inspect
 import itertools
 import math
 
@@ -28,7 +30,13 @@ from cils import (
 )
 from cils.assembler import RangeBound
 from cils.dioph import tree_leaves
-from cils.spheredec import BOUNDARY_SLACK, FloorTable, SphereCandidate
+from cils.spheredec import (
+    BOUNDARY_SLACK,
+    POINT_PRODUCTS_KEPT,
+    FloorTable,
+    SphereCandidate,
+    _point_product,
+)
 
 S3 = Alphabet((-1, 0, 1))
 
@@ -548,3 +556,54 @@ class TestColumnFloors:
             FloorTable(lattice, Y, (0, 1), np.ones((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="at least one"):
             FloorTable(lattice, Y, (0, 1), np.array([[1, 1], [0, 0], [1, 0]], dtype=bool))
+        # at y = 0 these list (1, 0) before (0, 1), (0, 0) four times, and
+        # points off the integers
+        for values in ((1, 0, -1), (0, 0), (0.5, 1)):
+            with pytest.raises(ValueError, match="^values must be"):
+                FloorTable(lattice, Y, values, np.ones((3, len(values)), dtype=bool))
+
+
+class TestPointProduct:
+    """Tables of one (values, W, N) share one point product, built once."""
+
+    VALUES = (-2, -1, 0, 1, 2)
+
+    def args(self, seed, allowed):
+        # a random G and Y for a 3-row table over VALUES with these columns
+        rng = np.random.default_rng(seed)
+        lattice = PreparedLattice.from_matrix(rng.standard_normal((4, 3)))
+        Y = rng.standard_normal((4, len(allowed)))
+        return lattice, Y, list(self.VALUES), np.array(allowed, dtype=bool)
+
+    def test_shared_product_matches_a_fresh_build(self):
+        # two tables with W = {-2, 0, 1} and N = 3 but different G, Y and
+        # per-column values, built in either order: the second reads the
+        # first's product, and each equals a table built with the cache empty
+        first = self.args(1, [[1, 0, 1, 1, 0], [0, 0, 1, 1, 0]])
+        second = self.args(2, [[1, 0, 1, 0, 0], [1, 0, 0, 1, 0], [0, 0, 1, 1, 0]])
+        fresh = []
+        for args in (first, second):
+            _point_product.cache_clear()
+            fresh.append(vars(FloorTable(*args)))
+        for order in ((0, 1), (1, 0)):
+            _point_product.cache_clear()
+            tables = {i: vars(FloorTable(*(first, second)[i])) for i in order}
+            assert _point_product.cache_info().hits == 1
+            assert [tables[0], tables[1]] == fresh
+
+    def test_shared_parts_are_immutable(self):
+        digits, codes, points = _point_product(self.VALUES, (0, 2, 3), 3)
+        assert digits.shape == (3, 27)
+        assert not digits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            digits[0, 0] = 1
+        assert type(codes) is tuple and type(points) is tuple
+        assert points[:2] == ((-2, -2, -2), (-2, -2, 0))
+        assert codes[1] == 1 | 1 << 5 | 1 << 12
+
+    def test_cache_size_is_a_constant(self):
+        assert _point_product.cache_info().maxsize == POINT_PRODUCTS_KEPT
+        assert list(inspect.signature(FloorTable).parameters) == ["lattice", "Y", "values", "allowed"]
+        for n in range(1, POINT_PRODUCTS_KEPT + 3):
+            _point_product((0, 1), (0, 1), n)
+        assert _point_product.cache_info().currsize == POINT_PRODUCTS_KEPT
