@@ -3,10 +3,11 @@
 Minimizes ||Y - G X||_F^2 over integer matrices X with entries in a finite
 alphabet, rows in the null space of A with bounded nonzero count, and full
 row rank.  The solve enumerates the feasible rows exactly (dioph), lists
-each column's candidate points in order of distance (spheredec.FloorTable)
-and assembles a rank-constrained optimum by backtracking search (assembler).  Brute-force
-reference implementations live in oracle; reproducible instance generation
-and benchmarks in harness; the command line in cli.
+each column's candidate points in order of distance in a floor table and
+assembles a rank-constrained optimum by backtracking search over them
+(assembler); the table is tested against the sphere decoder (spheredec).
+Brute-force reference implementations live in oracle; reproducible
+instance generation and benchmarks in harness; the command line in cli.
 """
 
 from .assembler import (

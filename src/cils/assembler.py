@@ -36,17 +36,26 @@ those value sets: min ||y_k - G x||^2 over it.  The floors of columns j..
 sum to the node's bound on their cost.  At the root every range is all of
 F, so the floor of column k is c_k over V_k^N, V_k the values F takes at
 coordinate k, and the bound is sum_k c_k; it is nonzero in general even when
-G is square.  One table per instance (spheredec.FloorTable) holds every
-point of V_k^N per column, sorted by cost, and a floor is the cost of the
-first point of the product in that order, shrunk by a rounding allowance
-when it is looked up.  Each feasible row's bit mask, one bit per (column,
-value) it takes, is built straight from the sorted row; a node's mask ORs
-the masks of its ranges, one field per output row, and RangeBound keeps
-each floor it has looked up, so a child recomputes only the columns whose
-value sets its narrowed ranges changed.
-The table's one pass holds L |W|^N points (W the values F takes), and a
-solve needing more than FLOOR_TABLE_LIMIT is refused with ValueError before
-the table is built.
+G is square.  One table per instance (FloorTable) holds every point of
+V_k^N per column, sorted by cost, and a floor is the cost of the first point
+of the product in that order, shrunk by a rounding allowance when it is
+looked up.  A node's mask names its per-row products, one per column (see
+the layout below), and RangeBound keeps each floor it has looked up, so a
+child recomputes only the columns whose value sets its narrowed ranges
+changed.  The table's one pass holds L |W|^N points (W the values F takes),
+and a solve needing more than FLOOR_TABLE_LIMIT is refused with ValueError
+before any point of the table is built.
+
+Mask layout: a mask holds one group of N fields per column of Y and one
+field of |S| bits per output row, so bit (k N + i) |S| + t stands for output
+row i taking values[t] at column k.  A feasible row's mask, built straight
+from the sorted row, sets the bit of its value in field 0 of each column's
+group; a range's mask ORs the masks of its rows, and a node's mask ORs its N
+range masks, the i-th shifted into field i.  The floor table reads one
+column's group at a time, shifted down to bit 0, and the code of a point x
+of column k sets bit i |S| + t where x_i = values[t]: the group holds the
+point, code & group == code, exactly when each x_i is a column-k value of
+row i's range.
 
 One pass searches below an objective cap: the best objective starts at the
 cap, and every node, the root of the pass included, is dropped once its
@@ -74,6 +83,7 @@ the largest finite float; it doubles after each pass that finds nothing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -84,14 +94,28 @@ import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, _integer, int_rank
-from .spheredec import FloorTable, PreparedLattice, babai_radius, sphere_decode
+from .spheredec import (
+    ROUNDING_SLACK,
+    PreparedLattice,
+    _as_matrix,
+    _as_vector,
+    babai_radius,
+    sphere_decode,
+)
 
 # factor by which the objective cap grows after a pass that finds no leaf
 CAP_GROWTH = 2.0
 
-# most points the floor table's one pass may hold (L |W|^N, see RangeBound);
+# most points the floor table's one pass may hold (L |W|^N, see FloorTable);
 # a solve whose table would hold more is refused before the table is built
 FLOOR_TABLE_LIMIT = 1 << 18
+
+# relative shrink of every floor, so rounding in the per-column distances
+# never lets a bound built from floors discard a strict improvement
+BOUND_SLACK = 1e-9
+
+# most point products, one per (values, W, N), that FloorTable keeps
+POINT_PRODUCTS_KEPT = 8
 
 
 class InfeasibleError(Exception):
@@ -247,6 +271,109 @@ class SolveResult:
 Spans = tuple[tuple[int, int], ...]
 
 
+class FloorTable:
+    """Per column k of Y, every x in V_k^N with its cost, sorted by cost.
+
+    `alphabet` is the instance's and `allowed` an L x |S| boolean mask over
+    its values: V_k holds the values that row k of the mask allows, which
+    RangeBound takes from F, so none is empty.  held(k, mask) lists, in
+    sorted order, the points of V_k^N that `mask`, column k's group of a
+    node's mask (see the mask layout in the module docstring), holds, and
+    floor(k, mask) is the least floor over them: the floor of the first one.
+
+    The costs ||y_k - G x||^2 are computed directly from Y and G, in one pass
+    over every column and every x in W^N, W the values some column allows,
+    so the pass holds L |W|^N points; a table of more than FLOOR_TABLE_LIMIT
+    points is refused with ValueError before any point or cost is computed.
+    The product W^N itself, each point's value indices, code and tuple,
+    depends only on (values, W, N): it is built once per shape and shared,
+    read-only, by every table of that shape (the POINT_PRODUCTS_KEPT most
+    recently used shapes are kept).  Each column is sorted by cost with a
+    stable sort over the points in lexicographic order, so its points come
+    in sphere_decode's (dist2, x) order, and the points a mask holds with
+    cost below b are, up to the decoder's boundary slack, the candidates a
+    decode at radius sqrt(b) over that product returns: the table is a
+    Schnorr-Euchner enumeration of the whole sphere.
+
+    A point's floor is its cost shrunk, when floor() reads it, by the
+    decoder's rounding allowance `tau[k]` (see spheredec.ROUNDING_SLACK) and
+    by BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point,
+    at any scale of y.  `costs[k]`, `codes[k]` and `points[k]` list column
+    k's points in sorted order; the point tuples, drawn from the alphabet,
+    are shared by every column and every table of the shape.
+    """
+
+    def __init__(
+        self, lattice: PreparedLattice, Y: np.ndarray, alphabet: Alphabet, allowed
+    ) -> None:
+        Gm = lattice.G
+        m, n = Gm.shape
+        n_cols = Y.shape[1]
+        allowed = np.asarray(allowed, dtype=bool)
+        taken = tuple(np.flatnonzero(allowed.any(axis=0)).tolist())
+        size = n_cols * len(taken) ** n
+        if size > FLOOR_TABLE_LIMIT:
+            raise ValueError(
+                f"the column floor table needs L |W|^N = {size} points for L = {n_cols} "
+                f"columns, |W| = {len(taken)} values taken by the feasible rows and N = {n} "
+                f"rows (at most {FLOOR_TABLE_LIMIT})"
+            )
+        values = alphabet.values
+        digits, codes, points = _point_product(values, taken, n)
+        r = Y[:, :, None] - (Gm @ np.asarray(values, dtype=float)[digits])[:, None, :]
+        cost = np.einsum("ikp,ikp->kp", r, r)
+        # points outside V_k^N sort last, with an infinite cost
+        inside = allowed[:, digits].all(axis=1)
+        cost[~inside] = np.inf
+        order = np.argsort(cost, axis=1, kind="stable")
+        cost = np.take_along_axis(cost, order, axis=1)
+        # only the first counts[k] points of column k lie in V_k^N
+        counts = inside.sum(axis=1).tolist()
+        order = [o[:c].tolist() for o, c in zip(order, counts)]
+        self.costs = [a[:c].tolist() for a, c in zip(cost, counts)]
+        self.codes = [[codes[p] for p in o] for o in order]
+        self.points = [[points[p] for p in o] for o in order]
+        self.tau = (ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))).tolist()
+
+    def held(self, k: int, mask: int) -> list[tuple[float, IntVector]]:
+        """(cost, x) of the points of column k that the mask holds, in sorted order."""
+        return [
+            (cost, x)
+            for code, cost, x in zip(self.codes[k], self.costs[k], self.points[k])
+            if code & mask == code
+        ]
+
+    def floor(self, k: int, mask: int) -> float:
+        """Least floor of column k over the points the mask holds; inf if none."""
+        for code, cost in zip(self.codes[k], self.costs[k]):
+            if code & mask == code:
+                d = max(math.sqrt(cost) - self.tau[k], 0.0)
+                return d * d * (1.0 - BOUND_SLACK)
+        return math.inf
+
+
+@functools.lru_cache(maxsize=POINT_PRODUCTS_KEPT)
+def _point_product(
+    values: tuple[int, ...], taken: tuple[int, ...], n: int
+) -> tuple[np.ndarray, tuple[int, ...], tuple[IntVector, ...]]:
+    """Every point of W^N, W = values[taken], coordinate 0 varying slowest.
+
+    Returns the N x |W|^N array of the points' value indices (read-only),
+    their FloorTable codes and their tuples, all in that order.  None of
+    them depends on G or Y, so tables of one shape share them.
+    """
+    digits = np.array(taken, dtype=np.intp)[np.indices((len(taken),) * n).reshape(n, -1)]
+    digits.setflags(write=False)
+    # Python ints, so codes wider than 64 bits stay exact
+    width = len(values)
+    codes = [0]
+    for i in range(n):
+        bits = [1 << (i * width + t) for t in taken]
+        codes = [c | b for c in codes for b in bits]
+    points = tuple(itertools.product([values[t] for t in taken], repeat=n))
+    return digits, tuple(codes), points
+
+
 class RangeBound:
     """The row ranges of one solve and the range-conditioned bound of its nodes.
 
@@ -262,12 +389,10 @@ class RangeBound:
     range, so no completion of the node fits column k better than the floor
     of the per-row product of those values (FloorTable), and the floors of
     columns j.. sum to a bound on their cost.  `row_masks` holds one mask per
-    row, built straight from the sorted row, with bit (k N + i) |S| + t set
-    when the row takes values[t] at column k, in field i = 0; a range's mask
-    ORs the masks of its rows, and a node's mask ORs its N range masks, the
-    i-th shifted into field i, so the N |S| bits of column k are the
-    FloorTable mask of that column.  The OR of every row mask gives the
-    values F takes per column, which size and build the table.
+    row and a node carries its own, both in the mask layout of the module
+    docstring, with `field` the N |S| bits of one column's group.  The OR of
+    every row mask gives the values F takes per column, which build the
+    table.
 
     Every cache is filled on first use and kept for the rest of the solve:
     `splits` maps (j, lo, hi) to the {value: ((lo', hi'), mask')} table of
@@ -291,16 +416,7 @@ class RangeBound:
         self.row_masks = [sum(map(operator.getitem, bits, row)) for row in self.rows]
         whole = functools.reduce(operator.or_, self.row_masks)
         allowed = [[whole >> (k * field + t) & 1 for t in range(width)] for k in range(n_cols)]
-        # the table's one pass holds L |W|^N points, W the values F takes
-        n_values = sum(map(any, zip(*allowed)))
-        size = n_cols * n_values**n
-        if size > FLOOR_TABLE_LIMIT:
-            raise ValueError(
-                f"the column floor table needs L |W|^N = {size} points for L = {n_cols} "
-                f"columns, |W| = {n_values} values taken by the feasible rows and N = {n} "
-                f"rows (at most {FLOOR_TABLE_LIMIT})"
-            )
-        self.table = FloorTable(instance.lattice, instance.Y, values, allowed)
+        self.table = FloorTable(instance.lattice, instance.Y, instance.alphabet, allowed)
         self.shifts = range(0, field, width)
         self.full = (1 << field) - 1
         self.splits: dict[tuple[int, int, int], dict[int, tuple[tuple[int, int], int]]] = {}
@@ -599,15 +715,14 @@ def solve_ils_eq(
     (ties broken lexicographically).  mode "heuristic" first sphere-decodes
     without the linear and sparsity constraints, then returns the feasible
     vector nearest the decoded point; it is cheaper but only an approximation.
+    Either mode raises ValueError for a non-finite y or G.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[1] != A.cols:
+    G = _as_matrix(G)
+    if G.shape[1] != A.cols:
         raise ValueError(f"G must have {A.cols} columns, got shape {G.shape}")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != G.shape[0]:
-        raise ValueError(f"y has length {y.shape[0]}, expected {G.shape[0]}")
+    y = _as_vector(y, G.shape[0])
     F, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
     feasible = tree_leaves(F)
     if not feasible:

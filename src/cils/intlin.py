@@ -55,15 +55,8 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.entries)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.entries for v in row)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -12,25 +12,12 @@ pruning runs at radius d * (1 + 1e-9) + tau, with tau proportional to
 eps * ||y|| (see ROUNDING_SLACK), so no boundary point is lost to accumulation
 error at any scale of y, and reported distances are recomputed directly from
 y and G.
-
-FloorTable is what the assembler's search reads instead of decoding: per
-column of Y it lists every point of a per-column value product sorted by its
-distance, in sphere_decode's (dist2, x) order.  The points of any
-per-coordinate sub-product within radius d are that sub-product's points at
-the head of the list, so the search reads a column's candidates off it, and
-the least distance over the sub-product, the floor of the branch-and-bound
-bound, is its first point's.  A floor is shrunk, when it is read, by the
-decoder's rounding allowance, so none exceeds a distance the decoder reports
-for the same point.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
-import itertools
 import math
-import operator
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,19 +30,12 @@ from .dioph import Alphabet, IntVector
 # relative slack on the squared radius for the inclusion test
 BOUNDARY_SLACK = 1e-9
 
-# relative shrink of every floor, so rounding in the per-column distances
-# never lets a bound built from floors discard a strict improvement
-BOUND_SLACK = 1e-9
-
 # Q^T y and the partial sums carry rounding of order eps * ||y|| per entry,
 # however small the radius, so a point at distance d may be summed to
 # anything up to (d + tau)^2 with tau = ROUNDING_SLACK * (m + n) * ||y|| for
 # an m x n G; a slack relative to d^2 alone loses boundary points once ||y||
 # is large against d
 ROUNDING_SLACK = 16.0 * sys.float_info.epsilon
-
-# most point products, one per (values, W, N), that FloorTable keeps
-POINT_PRODUCTS_KEPT = 8
 
 
 class SphereCandidate(NamedTuple):
@@ -194,121 +174,6 @@ def sphere_decode(y, G, radius: float, sets: Sequence[Alphabet]) -> list[SphereC
     descend(n - 1, base)
     out.sort(key=lambda c: (c.dist2, c.x))
     return out
-
-
-class FloorTable:
-    """Per column k of Y, every x in V_k^N with its cost, sorted by cost.
-
-    `values` is the sorted alphabet and `allowed` an L x |values| boolean
-    mask; V_k holds the values that row k of the mask allows, and every row
-    must allow at least one.  A point's code sets bit i * |values| + t for
-    each coordinate i, where x_i = values[t]: one field of |values| bits per
-    coordinate.  A mask in the same layout stands for the product of the
-    values it sets per coordinate, and holds a point exactly when
-    code & mask == code.  held(k, mask) lists the points of V_k^N that the
-    mask holds, in sorted order, and floor(k, mask) is the least floor over
-    them: the floor of the first one.
-
-    `values` must be strictly increasing integers; anything else is refused
-    with ValueError, since the point order and codes depend on it.  The
-    costs ||y_k - G x||^2 are computed directly from y and G, in one pass
-    over every column and every x in W^N, W the values some column allows,
-    so the pass holds L |W|^N points.  The product W^N itself, each point's
-    value indices, code and tuple, depends only on (values, W, N): it is
-    built once per shape and shared, read-only, by every table of that
-    shape (the POINT_PRODUCTS_KEPT most recently used shapes are kept).
-    Each column is sorted by cost with a stable sort over the points in
-    lexicographic order, so its points come in sphere_decode's (dist2, x)
-    order, and the points a mask holds with cost below b are, up to the
-    decoder's boundary slack, the candidates a decode at radius sqrt(b) over
-    that product returns: the table is a Schnorr-Euchner enumeration of the
-    whole sphere.
-
-    A point's floor is its cost shrunk, when floor() reads it, by the
-    decoder's rounding allowance `tau[k]` (see ROUNDING_SLACK) and by
-    BOUND_SLACK, so it never exceeds sphere_decode's dist2 for that point, at
-    any scale of y.  `costs[k]`, `codes[k]` and `points[k]` list column k's
-    points in sorted order; the point tuples, drawn from `values`, are shared
-    by every column and every table of the shape.
-    """
-
-    def __init__(self, lattice: PreparedLattice, Y, values, allowed) -> None:
-        Gm = lattice.G
-        m, n = Gm.shape
-        try:
-            values = tuple(map(operator.index, values))
-        except TypeError:
-            raise ValueError(f"values must be integers, got {values!r}") from None
-        if not all(map(int.__lt__, values, values[1:])):
-            raise ValueError(f"values must be strictly increasing, got {values!r}")
-        Y = np.asarray(Y, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        allowed = np.asarray(allowed, dtype=bool)
-        if Y.ndim != 2 or Y.shape[0] != m:
-            raise ValueError(f"Y must have {m} rows, got shape {Y.shape}")
-        if not np.isfinite(Y).all():
-            raise ValueError("Y entries must be finite")
-        n_cols = Y.shape[1]
-        if allowed.shape != (n_cols, len(vals)):
-            raise ValueError(
-                f"allowed must be {n_cols}x{len(vals)}, got shape {allowed.shape}"
-            )
-        if not allowed.any(axis=1).all():
-            raise ValueError("every column needs at least one allowed value")
-        taken = tuple(np.flatnonzero(allowed.any(axis=0)).tolist())
-        digits, codes, points = _point_product(values, taken, n)
-        r = Y[:, :, None] - (Gm @ vals[digits])[:, None, :]
-        cost = np.einsum("ikp,ikp->kp", r, r)
-        # points outside V_k^N sort last, with an infinite cost
-        inside = allowed[:, digits].all(axis=1)
-        cost[~inside] = np.inf
-        order = np.argsort(cost, axis=1, kind="stable")
-        cost = np.take_along_axis(cost, order, axis=1)
-        # only the first counts[k] points of column k lie in V_k^N
-        counts = inside.sum(axis=1).tolist()
-        order = [o[:c].tolist() for o, c in zip(order, counts)]
-        self.costs = [a[:c].tolist() for a, c in zip(cost, counts)]
-        self.codes = [[codes[p] for p in o] for o in order]
-        self.points = [[points[p] for p in o] for o in order]
-        self.tau = (ROUNDING_SLACK * (m + n) * np.sqrt(np.einsum("ij,ij->j", Y, Y))).tolist()
-
-    def held(self, k: int, mask: int) -> list[tuple[float, IntVector]]:
-        """(cost, x) of the points of column k that the mask holds, in sorted order."""
-        return [
-            (cost, x)
-            for code, cost, x in zip(self.codes[k], self.costs[k], self.points[k])
-            if code & mask == code
-        ]
-
-    def floor(self, k: int, mask: int) -> float:
-        """Least floor of column k over the points the mask holds; inf if none."""
-        for code, cost in zip(self.codes[k], self.costs[k]):
-            if code & mask == code:
-                d = max(math.sqrt(cost) - self.tau[k], 0.0)
-                return d * d * (1.0 - BOUND_SLACK)
-        return math.inf
-
-
-@functools.lru_cache(maxsize=POINT_PRODUCTS_KEPT)
-def _point_product(
-    values: tuple[int, ...], taken: tuple[int, ...], n: int
-) -> tuple[np.ndarray, tuple[int, ...], tuple[IntVector, ...]]:
-    """Every point of W^N, W = values[taken], coordinate 0 varying slowest.
-
-    Returns the N x |W|^N array of the points' value indices (read-only),
-    their FloorTable codes and their tuples, all in that order.  None of
-    them depends on G or Y, so tables of one shape share them.
-    """
-    digits = np.array(taken, dtype=np.intp)[np.indices((len(taken),) * n).reshape(n, -1)]
-    digits.setflags(write=False)
-    # Python ints, so codes wider than 64 bits stay exact
-    width = len(values)
-    codes = [0]
-    for i in range(n):
-        bits = [1 << (i * width + t) for t in taken]
-        codes = [c | b for c in codes for b in bits]
-    points = tuple(itertools.product([values[t] for t in taken], repeat=n))
-    return digits, tuple(codes), points
 
 
 def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:

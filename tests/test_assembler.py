@@ -955,11 +955,10 @@ class TestRangeBound:
 
     def test_oversize_table_refused_before_it_is_built(self, monkeypatch):
         # 12 rows over {-1, 0, 1}: the table's pass would hold 12 * 3^12 points
-        class Refused:
-            def __init__(self, *args):
-                raise AssertionError("the floor table was built")
+        def refused(*args):
+            raise AssertionError("the floor table's points were built")
 
-        monkeypatch.setattr(cils.assembler, "FloorTable", Refused)
+        monkeypatch.setattr(cils.assembler, "_point_product", refused)
         inst = ProblemInstance(Y=np.zeros((12, 12)), G=np.eye(12), A=IntMatrix(((0,) * 12,)),
                                alphabet=S3, sparsity=1, target_rank=12)
         with pytest.raises(
@@ -970,11 +969,10 @@ class TestRangeBound:
     def test_oversize_table_error_counts_the_values_f_takes(self, monkeypatch):
         # x_{2k+1} = -3 x_{2k} over S = {-3..3}: the feasible rows take only
         # W = {-3, -1, 0, 1, 3}, so the table's pass would hold 14 * 5^7 points
-        class Refused:
-            def __init__(self, *args):
-                raise AssertionError("the floor table was built")
+        def refused(*args):
+            raise AssertionError("the floor table's points were built")
 
-        monkeypatch.setattr(cils.assembler, "FloorTable", Refused)
+        monkeypatch.setattr(cils.assembler, "_point_product", refused)
         A = IntMatrix(tuple(
             tuple(3 if c == 2 * k else 1 if c == 2 * k + 1 else 0 for c in range(14))
             for k in range(7)
@@ -987,6 +985,36 @@ class TestRangeBound:
             match=r"L \|W\|\^N = 1093750 points for L = 14 columns, \|W\| = 5 .* N = 7 rows",
         ):
             solve(inst)
+
+    def test_mask_groups_hold_the_points_of_their_ranges(self):
+        # x_{2k+1} = -3 x_{2k} over S = {-3..3}: V_k is {-1, 0, 1} at even k
+        # and {-3, 0, 3} at odd k, each short of W = {-3, -1, 0, 1, 3}
+        rng = np.random.default_rng(5)
+        inst = ProblemInstance(Y=rng.standard_normal((3, 4)), G=rng.standard_normal((3, 2)),
+                               A=IntMatrix(((3, 1, 0, 0), (0, 0, 3, 1))),
+                               alphabet=Alphabet(tuple(range(-3, 4))), sparsity=4,
+                               target_rank=2)
+        _, bound = self.bound_of(inst)
+        table, field, full, rows = bound.table, bound.field, bound.full, bound.rows
+
+        def group(mask, k):
+            return (mask >> (k * field)) & full
+
+        root_spans, root_mask, _ = bound.root
+        for k in range(4):
+            assert {v for x in table.points[k] for v in x} == ({-1, 0, 1}, {-3, 0, 3})[k % 2]
+            # every root range is all of F: its group holds the whole column
+            assert table.held(k, group(root_mask, k)) == list(zip(table.costs[k], table.points[k]))
+        for picked in itertools.product(range(len(rows)), repeat=2):
+            spans = root_spans
+            for j in range(4):
+                spans, mask = prune_with_column(bound, spans, j, tuple(rows[p][j] for p in picked))
+            assert spans == tuple((p, p + 1) for p in picked)
+            # settled rows: group k holds the one point their k-th entries make
+            for k in range(4):
+                x = tuple(rows[p][k] for p in picked)
+                cost = table.costs[k][table.points[k].index(x)]
+                assert table.held(k, group(mask, k)) == [(cost, x)]
 
     def test_codes_wider_than_64_bits_match_oracle(self):
         # 40 values and N = 2: one column's field of a mask spans 80 bits
@@ -1113,6 +1141,19 @@ class TestSolveIlsEq:
                 2,
                 mode="exact",
             )
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("bad", ["y", "G"])
+    def test_non_finite_input_rejected(self, ex_A, s3, mode, bad):
+        # a nan in y or an inf in G once made exact mode scan nan residuals
+        # and return an arbitrary feasible row
+        y, G = np.zeros(7), np.eye(7)
+        if bad == "y":
+            y[0] = np.nan
+        else:
+            G[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            solve_ils_eq(y, G, ex_A, s3, 4, mode=mode)
 
     def test_unknown_mode_rejected(self, ex_A, s3):
         with pytest.raises(ValueError):

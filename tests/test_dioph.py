@@ -247,7 +247,7 @@ class TestSolveDiophantine:
         assert tree_leaves(tree) == [(-1, 1), (0, 0), (1, -1)]
 
     def test_zero_matrix_gives_budgeted_product(self):
-        tree, _ = solve_diophantine_sparse(IntMatrix.zeros(2, 3), S3, 1)
+        tree, _ = solve_diophantine_sparse(IntMatrix(((0, 0, 0),) * 2), S3, 1)
         want = sorted(
             x for x in itertools.product(S3.values, repeat=3) if sum(1 for v in x if v) <= 1
         )

@@ -43,7 +43,7 @@ class TestOracleF:
         assert oracle_F(ex_A, s3, 4) == FEASIBLE_7
 
     def test_zero_rows_give_budgeted_product(self):
-        A = IntMatrix.zeros(1, 3)
+        A = IntMatrix(((0, 0, 0),))
         got = oracle_F(A, S3, 1)
         want = sorted(
             x for x in itertools.product(S3.values, repeat=3) if sum(1 for v in x if v) <= 1
@@ -102,7 +102,7 @@ class TestOracleSolve:
         inst = ProblemInstance(
             Y=np.zeros((3, 5)),
             G=np.eye(3),
-            A=IntMatrix.zeros(1, 5),
+            A=IntMatrix(((0,) * 5,)),
             alphabet=s3,
             sparsity=5,
             target_rank=3,
