@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
-from .intlin import IntMatrix, _integer, int_rank
+from .intlin import IntMatrix, _integer, _trusted, int_rank
 from .spheredec import (
     ROUNDING_SLACK,
     PreparedLattice,
@@ -622,7 +622,7 @@ def _search(
     ) -> None:
         nonlocal best_obj, best_X
         if all(hi - lo == 1 for lo, hi in spans):
-            X = IntMatrix(tuple(rows[lo] for lo, _ in spans))
+            X = _trusted(tuple(rows[lo] for lo, _ in spans))
             if int_rank(X) != instance.target_rank:
                 stats.rank_rejects += 1
                 return
@@ -679,7 +679,7 @@ def solve(instance: ProblemInstance) -> SolveResult:
     )
     stats.dioph_nodes = dstats.nodes_visited
     feasible = tree_leaves(F)
-    span_rank = int_rank(IntMatrix(tuple(feasible)), stop=instance.target_rank) if feasible else 0
+    span_rank = int_rank(_trusted(tuple(feasible)), stop=instance.target_rank) if feasible else 0
     if span_rank < instance.target_rank:
         raise InfeasibleError(
             f"feasible rows span rank {span_rank}, below target {instance.target_rank}",

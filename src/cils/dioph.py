@@ -28,8 +28,11 @@ leftmost half and meets the two halves at the pivot (Horowitz & Sahni,
 J. ACM 1974; Schroeppel & Shamir, SIAM J. Comput. 1981), so the frontier
 grows to about the square root of the product it would otherwise reach.
 The deferred block, every vector over S on those columns within the budget,
-is built by the same step under the budget alone and sorted once by the
-integer key t (K+2) + nz_b, t being its part of the target row and nz_b its
+depends on (S, defer, K) alone, so it is built once per shape, by the same
+step with the budget as its only cut, and kept for later joins (the
+BLOCKS_KEPT most recent shapes).
+Each join sums t, the block's part of the target row, column by column and
+sorts the block once by the integer key t (K+2) + nz_b, nz_b being its
 nonzero count.  A frontier row and a pivot value v then match one
 contiguous key range, from (s - h_p v)(K+2) to that plus K - nz - [v != 0],
 which holds both the exact sum and the budget.  Rows that share (s, nz)
@@ -49,6 +52,7 @@ arrays, so results stay exact for any input.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
@@ -67,6 +71,10 @@ _INT64_SAFE = 2**62
 # segment spans at least this many alphabet points (|S|^len); shorter
 # segments are walked column by column, where a join costs more than it saves
 JOIN_MIN = 1 << 14
+
+# deferred blocks are cached per (values, defer, max_nonzeros); this many
+# most recently used shapes are kept
+BLOCKS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,8 @@ class DiophStats:
     a joined pivot it is |S| per frontier row (one candidate per pivot
     value, counted per row even where rows that share a probe key probe
     once) plus |S| per deferred-block row per block column, counted before
-    the budget cut.
+    the budget cut, whether the block is built for that join or was built
+    for an earlier join of its shape.
     """
 
     nodes_visited: int
@@ -132,17 +141,17 @@ def _target(
     defer is how many free columns right of the pivot the walk leaves to the
     join (see _deferred).  s holds -sum_{k>=start} row_k x_k on every
     frontier row: what the unassigned columns pivot..start-1 must sum to.
-    A child that assigns column c and has nz nonzeros is kept iff
-    |s| <= reach[c][nz]; reach[c][max_nonzeros + 1] is -1, so a child over
-    the budget fails too.  At a column the walk assigns (pivot+defer < c <
-    start, and the pivot unless it is joined) the limit is what pivot..c-1
-    can still cancel: max|S| times the sum of the max_nonzeros - nz largest
-    |row_k| there, 0 at the pivot.  At a deferred column it is the bound
-    below, which no block sum exceeds, so only the budget cuts (see _join).
-    s, reach and the join keys are int64 when that bound, max|S| times
-    sum_{k>=pivot} |row_k|, times K+2, plus K, is provably below 2**62,
-    else Python-int objects.  A zero row has pivot -1 and s = 0, so its
-    reach filters on the budget alone.
+    reach holds a table for each column c the walk assigns (pivot+defer <
+    c < start, and the pivot unless it is joined): a child that assigns c
+    and has nz nonzeros is kept iff |s| <= reach[c][nz], the limit being
+    what pivot..c-1 can still cancel, max|S| times the sum of the
+    max_nonzeros - nz largest |row_k| there, 0 at the pivot.
+    reach[c][max_nonzeros + 1] is -1, so a child over the budget fails too.
+    The deferred columns take no table: their block does not depend on the
+    row (see _block).  s, reach and the join keys are int64 when max|S|
+    times sum_{k>=pivot} |row_k|, which bounds every key's t, times K+2,
+    plus K, is provably below 2**62, else Python-int objects.  A zero row
+    has pivot -1 and s = 0, so its reach filters on the budget alone.
     """
     pivot = next((j for j, v in enumerate(row) if v != 0), -1)
     defer = _deferred(pivot, start, n_values)
@@ -157,9 +166,6 @@ def _target(
         if row[c]:
             s -= np.multiply(states[:, c], row[c], dtype=dtype)
     reach = {}
-    if defer:
-        budget = np.array([bound] * (max_nonzeros + 1) + [-1], dtype=dtype)
-        reach = dict.fromkeys(range(pivot + 1, pivot + 1 + defer), budget)
     # the walk assigns the pivot too unless it is joined
     for c in range(pivot + 1 + defer if defer else max(pivot, 0), start):
         mags = sorted(map(abs, row[max(pivot, 0) : c]), reverse=True)[:max_nonzeros]
@@ -217,6 +223,37 @@ def _spans(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(len(owner)) + (starts - counts.cumsum() + counts)[owner], owner
 
 
+@functools.lru_cache(maxsize=BLOCKS_KEPT)
+def _block(
+    values: tuple[int, ...], defer: int, max_nonzeros: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(block, nz_b, nodes): every vector over S on defer columns within the budget.
+
+    The rows of block are built one column at a time by _expand with a zero
+    coefficient under the budget-only table [0]*(K+1) + [-1], so the budget
+    is the only cut, in the order the walk over those columns would build
+    them; nz_b holds each row's nonzero count, and nodes counts |S| per
+    block row per column, before the cut.  None of it depends on the
+    instance, so every join of one (S, defer, K) shares it (the BLOCKS_KEPT
+    most recently used shapes are kept), read-only.
+    """
+    dtype = _entry_dtype(values)
+    sorted_values = np.array(values, dtype=dtype)
+    nz_dtype = np.min_scalar_type(max_nonzeros + 1)
+    nz_step = (sorted_values[:, None] != 0).astype(nz_dtype)
+    budget = np.array([0] * (max_nonzeros + 1) + [-1])
+    block = np.zeros((1, defer), dtype=dtype)
+    zero = np.zeros(1, dtype=dtype)
+    block_nz = np.zeros(1, dtype=nz_dtype)
+    nodes = 0
+    for j in range(defer):
+        nodes += len(block) * len(values)
+        block, zero, block_nz = _expand(block, zero, block_nz, j, 0, budget, sorted_values, nz_step)
+    block.setflags(write=False)
+    block_nz.setflags(write=False)
+    return block, block_nz, nodes
+
+
 def _join(
     row: IntVector,
     pivot: int,
@@ -224,7 +261,7 @@ def _join(
     states: np.ndarray,
     s: np.ndarray,
     nz: np.ndarray,
-    reach: dict[int, np.ndarray],
+    values: tuple[int, ...],
     sorted_values: np.ndarray,
     nz_step: np.ndarray,
     max_nonzeros: int,
@@ -232,33 +269,33 @@ def _join(
     """(states, nz, block nodes) once the pivot and its deferred block are assigned.
 
     The block is every vector over S on the columns pivot+1..pivot+defer
-    with at most max_nonzeros nonzeros, built one column at a time by
-    _expand with |S| nodes per block row per column, counted before the
-    budget cut, which is the only cut reach makes there.  Each block row b
-    carries u = -t, t = sum_k row_k b_k being its part of the target row,
-    and its nonzero count nz_b, and the block is sorted once by the key
-    nz_b - u (K+2) = t (K+2) + nz_b.  A frontier row with residual s and
-    count nz, given the pivot value v, matches the block rows with
-    t = s - row_pivot v and nz_b <= K - nz - [v != 0]: one contiguous key
-    range [lo, hi].  Frontier rows that share (s, nz) match alike, so the
-    frontier is sorted by the same kind of key, s (K+2) + nz, and each run
-    of equal keys probes once per pivot value, as the probe side of a hash
-    join is grouped.  One searchsorted finds every probe's first key at or
-    above lo; only the probes whose first key is at most hi search a second
-    time for the range's end, and each match is then expanded to every row
-    of its run.  The keys take s's dtype, which _target chose to hold them.
+    with at most max_nonzeros nonzeros (see _block, which counts its nodes).
+    Each block row b carries t = sum_k row_k b_k, its part of the target
+    row, summed one column at a time in s's dtype, and its nonzero count
+    nz_b, and is sorted once by the key t (K+2) + nz_b.  A frontier row with
+    residual s and count nz, given the pivot value v, matches the block rows
+    with t = s - row_pivot v and nz_b <= K - nz - [v != 0]: one contiguous
+    key range [lo, hi].  Frontier rows that share (s, nz) match alike, so
+    the frontier is sorted by the same kind of key, s (K+2) + nz, and each
+    run of equal keys probes once per pivot value, as the probe side of a
+    hash join is grouped.  One searchsorted finds every probe's first key at
+    or above lo; only the probes whose first key is at most hi search a
+    second time for the range's end, and each match is then expanded to
+    every row of its run.  The keys take s's dtype, which _target chose to
+    hold them.
     """
     width = max_nonzeros + 2
-    block = np.zeros((1, defer), dtype=states.dtype)
-    u = np.zeros(1, dtype=s.dtype)
-    block_nz = np.zeros(1, dtype=nz.dtype)
-    visited = 0
+    block, block_nz, visited = _block(values, defer, max_nonzeros)
+    # the key is built in place, t and then t (K+2) + nz_b, so no second
+    # block-length array is held beside it
+    key = np.zeros(len(block), dtype=s.dtype)
     for j, c in enumerate(range(pivot + 1, pivot + 1 + defer)):
-        visited += len(block) * len(sorted_values)
-        block, u, block_nz = _expand(block, u, block_nz, j, row[c], reach[c], sorted_values, nz_step)
-    key = block_nz - u * width
+        if row[c]:
+            key += np.multiply(block[:, j], row[c], dtype=s.dtype)
+    key *= width
+    key += block_nz
     order = key.argsort()
-    key, block, block_nz = key[order], block[order], block_nz[order]
+    key = key[order]
     # frontier rows in key order, split into runs of equal (s, nz); runs
     # ascend in s, so each value's probes ascend and searchsorted starts
     # each one where the last ended
@@ -290,7 +327,8 @@ def _join(
     probe = probe[owner]
     which, run = np.divmod(probe, len(runs))
     member, owner = _spans(runs[run], run_len[run])
-    match, probe = match[owner], probe[owner]
+    # match indexes the sorted keys; order takes it back to the block's rows
+    match, probe = order[match[owner]], probe[owner]
     states = states[rows[member]]
     states[:, pivot] = sorted_values[which[owner]]
     states[:, pivot + 1 : pivot + 1 + defer] = block[match]
@@ -348,7 +386,7 @@ def solve_diophantine_sparse(
         n = len(states)
         if col == pivot and defer:
             states, nz, block_visited = _join(
-                h, pivot, defer, states, s, nz, reach, sorted_values, nz_step, max_nonzeros
+                h, pivot, defer, states, s, nz, values, sorted_values, nz_step, max_nonzeros
             )
             visited += n * len(values) + block_visited
         else:

@@ -70,6 +70,17 @@ class IntMatrix:
         )
 
 
+def _trusted(entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """An IntMatrix of entries, stored as they are: nonempty, equal-length tuples of ints.
+
+    For rows the package built itself; IntMatrix(...) checks and converts
+    every entry.
+    """
+    M = object.__new__(IntMatrix)
+    object.__setattr__(M, "entries", entries)
+    return M
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: returns (g, s, t) with g = s*a + t*b and g >= 0."""
     old_r, r = a, b
@@ -95,7 +106,7 @@ def hermite_normal_form(A: IntMatrix) -> IntMatrix:
     """
     W = [list(row) for row in A.entries]
     _eliminate(W, A.cols)
-    return IntMatrix(tuple(map(tuple, W)))
+    return _trusted(tuple(map(tuple, W)))
 
 
 def hermite_decomposition(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -108,8 +119,8 @@ def hermite_decomposition(A: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     nc = A.cols
     W = [list(row) + [int(i == j) for j in range(A.rows)] for i, row in enumerate(A.entries)]
     _eliminate(W, nc)
-    H = IntMatrix(tuple(tuple(row[:nc]) for row in W))
-    return H, IntMatrix(tuple(tuple(row[nc:]) for row in W))
+    H = _trusted(tuple(tuple(row[:nc]) for row in W))
+    return H, _trusted(tuple(tuple(row[nc:]) for row in W))
 
 
 def _eliminate(W: list[list[int]], nc: int) -> None:
@@ -130,9 +141,11 @@ def _eliminate(W: list[list[int]], nc: int) -> None:
             a = W[r][c]
             g, s, t = _xgcd(a, b)
             mu, nu = a // g, b // g
-            # [[s, t], [-nu, mu]] has determinant (s*a + t*b)/g = 1.
+            # [[s, t], [-nu, mu]] has determinant (s*a + t*b)/g = 1; with
+            # (s, t) = (1, 0) it leaves W[r] as it is
             wr, wi = W[r], W[i]
-            W[r] = [s * x + t * y for x, y in zip(wr, wi)]
+            if t or s != 1:
+                W[r] = [s * x + t * y for x, y in zip(wr, wi)]
             W[i] = [mu * y - nu * x for x, y in zip(wr, wi)]
         if W[r][c] == 0:
             continue

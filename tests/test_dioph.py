@@ -464,6 +464,53 @@ class TestJoin:
         assert stats.nodes_visited == reference_enumeration(A, alphabet, 4)[1] != 82
 
 
+class TestBlockCache:
+    """Joins of one (S, defer, K) share one deferred block, built once."""
+
+    # two single rows over S3 with K = 5: with JOIN_MIN = 1 the pivot at
+    # column 0 leaves an 8-column segment, and both defer its 4 left columns
+    ROWS = ([[1, 2, -1, 1, 3, 1, -2, 1, 1]], [[2, 1, 1, -3, 1, 2, 0, -1, 1]])
+
+    def enumerate(self, rows):
+        F, stats = solve_diophantine_sparse(matrix(rows), S3, 5)
+        return F.tobytes(), F.dtype, tree_leaves(F), stats
+
+    def test_shared_block_matches_a_fresh_build(self, monkeypatch):
+        # two matrices built in either order: the second reads the first's
+        # block, and each gives the F bytes, dtype and nodes of a cold run
+        monkeypatch.setattr(dioph, "JOIN_MIN", 1)
+        cold = []
+        for rows in self.ROWS:
+            dioph._block.cache_clear()
+            cold.append(self.enumerate(rows))
+            assert dioph._block.cache_info().misses == 1
+        for order in ((0, 1), (1, 0)):
+            dioph._block.cache_clear()
+            warm = {i: self.enumerate(self.ROWS[i]) for i in order}
+            assert dioph._block.cache_info().hits == 1
+            assert [warm[0], warm[1]] == cold
+        for rows, (_, _, leaves, stats) in zip(self.ROWS, cold):
+            assert (leaves, stats.nodes_visited) == reference_enumeration(matrix(rows), S3, 5)
+
+    @pytest.mark.parametrize("k", [5, 2])
+    def test_block_is_every_budgeted_vector_and_read_only(self, k):
+        def within(length):
+            return [x for x in itertools.product(S3, repeat=length) if sum(map(bool, x)) <= k]
+
+        block, nz_b, nodes = dioph._block(S3.values, 4, k)
+        assert sorted(map(tuple, block.tolist())) == within(4)
+        assert nz_b.tolist() == [sum(map(bool, x)) for x in block.tolist()]
+        # |S| nodes per row per column, counted before the budget cut
+        assert nodes == sum(3 * len(within(j)) for j in range(4))
+        for a in (block, nz_b):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_cache_size_is_a_constant(self):
+        assert dioph._block.cache_info().maxsize == dioph.BLOCKS_KEPT
+
+
 class TestUnboundedIntegers:
     """A and the alphabet are Python ints of any size; nothing may wrap."""
 
@@ -503,10 +550,12 @@ class TestMemoryWall:
     @pytest.mark.parametrize(
         "n_cols, nodes, peak_mb, objective",
         [
-            # the join at the last pivot: 5,757,810 nodes and a peak near 60 MB without it
-            (22, 336_704, 32, 20.32868691751819),
-            # a tracemalloc peak of 28.0 MB when every frontier row probed the block alone
-            (24, 947_268, 24, 24.93563921379626),
+            # the join at the last pivot: 5,757,810 nodes and a peak near 60 MB
+            # without it; 9.4 MB when every join built its own sorted block
+            (22, 336_704, 9.4, 20.32868691751819),
+            # a tracemalloc peak of 28.0 MB when every frontier row probed the
+            # block alone, 12.4 MB when every join built its own sorted block
+            (24, 947_268, 12.4, 24.93563921379626),
         ],
         ids=["3x22", "3x24"],
     )
@@ -514,14 +563,22 @@ class TestMemoryWall:
         instance, _ = generate_instance(
             GenSpec(3, n_cols, 4, S5, n_constraints=8, sparsity=6, sigma=0.5, seed=1)
         )
-        tracemalloc.start()
-        try:
-            F, stats = solve_diophantine_sparse(instance.A, S5, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert stats.nodes_visited == nodes
-        assert peak <= peak_mb * 2**20
+        # cold, the join builds its block; warm, it reads the block the cold
+        # run left in the cache.  Both give the same F and stay within the peak
+        dioph._block.cache_clear()
+        runs = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                F, stats = solve_diophantine_sparse(instance.A, S5, 6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stats.nodes_visited == nodes
+            assert peak <= peak_mb * 2**20
+            runs.append(F.tobytes())
+        assert dioph._block.cache_info().hits == 1
+        assert runs[0] == runs[1]
         leaves = tree_leaves(F)
         assert len(leaves) == stats.leaves == 29
         for x in leaves:

@@ -203,6 +203,13 @@ class TestSpecFiles:
         (noisy,) = load_specs(SCRIPTS / "noisy_tier.json")
         assert noisy == dataclasses.replace(stretch, sigma=1.0)
 
+    def test_wide_tier_is_the_wall_shape_twice(self):
+        # two trials of the (3,22) wall shape: one process joins one block
+        # shape twice, which CI runs under its address-space limit
+        (spec,) = load_specs(SCRIPTS / "wide_tier.json")
+        assert (spec.n_rows, spec.n_cols, spec.n_meas, spec.trials) == (3, 22, 4, 2)
+        assert (spec.alphabet, spec.n_constraints, spec.sparsity, spec.sigma) == (S5, 8, 6, 0.5)
+
     def test_quick_sweep_file_loads(self):
         specs = load_specs(SCRIPTS / "bench_specs.json")
         assert sum(s.trials for s in specs) == 20
