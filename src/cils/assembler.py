@@ -72,12 +72,17 @@ settle, and a leaf whose objective reaches the best counts as a bound
 prune; the bound test that admitted it already summed the floors of its
 remaining columns, each its one point's cost shrunk, so reading them one by
 one would only repeat, up to rounding, the test its objective makes.  Every
-prune discards only leaves costing at least the best objective, so a pass
+prune discards only leaves costing at least the value it tested, so a pass
 that finds a leaf returns the global optimum, and a pass that finds none
-proves the optimum is at least the cap.  The first cap is L d^2, with d the
-Babai radius of column 0 (spheredec.babai_radius: the residual of the
-column's least-squares point snapped into its candidate sets), clamped below
-the largest finite float; it doubles after each pass that finds nothing.
+proves the optimum is at least the least value among its bound prunes,
+which is at least the cap.  Each cap is CAP_GROWTH times a proven lower
+bound on the optimum (Korf's iterative-deepening A*): the first is CAP_GROWTH
+times the root bound LB(0), at least L * MIN_CAP_PER_COLUMN so that a zero
+bound still gives a positive cap, clamped below the largest finite float;
+each later one is CAP_GROWTH times the least bound the failed pass pruned.
+So the pass that succeeds runs below CAP_GROWTH times the optimum, every cap
+grows by at least CAP_GROWTH, and no cap depends on which column is searched
+first.
 """
 
 from __future__ import annotations
@@ -103,8 +108,12 @@ from .spheredec import (
     sphere_decode,
 )
 
-# factor by which the objective cap grows after a pass that finds no leaf
-CAP_GROWTH = 2.0
+# factor between each objective cap and the proven lower bound it is set from
+CAP_GROWTH = 1.5
+
+# least first cap per column of Y, so that a zero root bound (an exact fit, or
+# Y = 0) still gives a positive cap
+MIN_CAP_PER_COLUMN = 1e-18
 
 # most points the floor table's one pass may hold (L |W|^N, see FloorTable);
 # a solve whose table would hold more is refused before the table is built
@@ -231,10 +240,11 @@ class ProblemInstance:
 class SolveStats:
     """Work counters of one solve.
 
-    `radius_expansions` counts the doublings of the objective cap after
-    passes that found no leaf.  `column_reads` counts the nodes that read
-    their candidates for a column off the floor table; a node whose rows are
-    all settled is a leaf and reads none.  The prunes by reason:
+    `radius_expansions` counts the cap growths: the passes that found no
+    leaf, each followed by one under a larger objective cap.
+    `column_reads` counts the nodes that read their candidates for a
+    column off the floor table; a node whose rows are all settled is a leaf
+    and reads none.  The prunes by reason:
     `rank_rejects`, at leaves (exact rank below N) and at inner nodes (a
     settled row zero or two on one line), and `bound_prunes`, a node (a
     child, or the root of a pass) whose cost so far plus its own floors
@@ -591,8 +601,8 @@ def _search(
     bound: RangeBound,
     cap: float,
     stats: SolveStats,
-) -> tuple[float, IntMatrix] | None:
-    """Best leaf with objective below `cap`, or None if every leaf reaches it.
+) -> tuple[float, IntMatrix | None]:
+    """(objective, X) of the best leaf below `cap`, else (least bound pruned, None).
 
     The running best objective starts at the cap.  A node at column j is its
     ranges, their mask and floors (see RangeBound) and `rest`, the floors'
@@ -609,6 +619,13 @@ def _search(
     the cap.  A child whose settled rows are dependent is dropped before
     recursing, and so is a leaf of rank below N: neither can hold the
     optimum.
+
+    When no leaf lies below the cap, the best objective stays at the cap
+    and the pass returns the least value among its bound prunes: the root's
+    floor sum, a leaf's objective, the acc + cost + rest that stopped a
+    read, or a child's acc + cost plus its floors.  Each is at least the
+    cap and at most the cost of every leaf it discarded, and rank cuts
+    discard no leaf of rank N, so the optimum is at least that value.
     """
     Y, G = instance.Y, instance.G
     rows = bound.rows
@@ -616,11 +633,12 @@ def _search(
     field, full = bound.field, bound.full
     best_obj = cap
     best_X: IntMatrix | None = None
+    least = math.inf
 
     def recurse(
         j: int, spans: Spans, acc: float, mask: int, floors: list[float], rest: float
     ) -> None:
-        nonlocal best_obj, best_X
+        nonlocal best_obj, best_X, least
         if all(hi - lo == 1 for lo, hi in spans):
             X = _trusted(tuple(rows[lo] for lo, _ in spans))
             if int_rank(X) != instance.target_rank:
@@ -632,6 +650,7 @@ def _search(
                 best_X = X
             else:
                 stats.bound_prunes += 1
+                least = min(least, obj)
             return
         stats.column_reads += 1
         key = (mask >> (j * field)) & full
@@ -642,12 +661,15 @@ def _search(
             cost = acc + dist2
             if cost + rest >= best_obj:
                 stats.bound_prunes += 1
+                least = min(least, cost + rest)
                 break
             child, cmask = prune_with_column(bound, spans, j, x)
             cfloors = bound.child(j, mask, cmask, floors)
             crest = sum(cfloors[j + 2 :])
-            if cost + cfloors[j + 1] + crest >= best_obj:
+            low = cost + cfloors[j + 1] + crest
+            if low >= best_obj:
                 stats.bound_prunes += 1
+                least = min(least, low)
                 continue
             if _settled_rows_dependent(bound, child):
                 stats.rank_rejects += 1
@@ -655,18 +677,23 @@ def _search(
             recurse(j + 1, child, cost, cmask, cfloors, crest)
 
     spans, mask, floors = bound.root
-    if sum(floors) >= cap:
+    root = sum(floors)
+    if root >= cap:
         stats.bound_prunes += 1
-        return None
+        return root, None
     recurse(0, spans, 0.0, mask, floors, sum(floors[1:]))
     if best_X is None:
-        return None
+        return least, None
     return best_obj, best_X
 
 
 def solve(instance: ProblemInstance) -> SolveResult:
     """Global minimizer of ||Y - G X||_F^2 under all instance constraints.
 
+    Searches in passes (see _search): the first below CAP_GROWTH times the
+    root bound LB(0), floored at L * MIN_CAP_PER_COLUMN and clamped below
+    the largest finite float, and each later one below CAP_GROWTH times the
+    least bound the pass before it pruned, until a pass finds a leaf.
     Raises InfeasibleError when the feasible rows cannot reach the target
     rank; the exception's feasible_rank reports what was attainable.  Raises
     ValueError when the floor table of the bound would hold more than
@@ -686,16 +713,16 @@ def solve(instance: ProblemInstance) -> SolveResult:
             feasible_rank=span_rank,
         )
     bound = RangeBound(instance, feasible)
-    d = babai_radius(instance.Y[:, 0], instance.lattice, derive_column_sets(bound, bound.root[0], 0))
-    # d is at least 1e-9, but its slack can carry L d^2 past the largest float
-    # when ||Y - G X||^2 sits at the float limit
-    cap = min(instance.n_cols * d * d, sys.float_info.max)
-    best = _search(instance, bound, cap, stats)
-    while best is None:
-        cap *= CAP_GROWTH
+    # LB(0) is at most the optimum, but CAP_GROWTH times it can pass the
+    # largest float when ||Y - G X||^2 sits at the float limit
+    lower = max(sum(bound.root[2]), instance.n_cols * MIN_CAP_PER_COLUMN)
+    obj, X = _search(instance, bound, min(CAP_GROWTH * lower, sys.float_info.max), stats)
+    while X is None:
+        # obj, the least bound the failed pass pruned, is at most the
+        # optimum; a growth past the largest float gives inf, which ends
+        # the loop
         stats.radius_expansions += 1
-        best = _search(instance, bound, cap, stats)
-    obj, X = best
+        obj, X = _search(instance, bound, CAP_GROWTH * obj, stats)
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0
     return SolveResult(X=X, objective=obj, stats=stats)

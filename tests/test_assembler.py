@@ -25,7 +25,6 @@ from cils import (
     IntMatrix,
     PreparedLattice,
     ProblemInstance,
-    babai_radius,
     generate_instance,
     GenSpec,
     int_rank,
@@ -40,8 +39,11 @@ from cils import (
     verify_solution,
 )
 from cils.assembler import (
+    CAP_GROWTH,
     RangeBound,
+    SolveStats,
     _line,
+    _search,
     _settled_rows_dependent,
     _split,
     derive_column_sets,
@@ -57,11 +59,22 @@ STRETCH_TIER = SCRIPTS / "stretch_tier.json"
 NOISY_TIER = SCRIPTS / "noisy_tier.json"
 
 
+def fresh_bound(inst):
+    """A fresh RangeBound of the instance: its caches start empty."""
+    F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
+    return RangeBound(inst, tree_leaves(F))
+
+
+def search_once(inst, cap):
+    """One search pass below a fixed cap on a fresh RangeBound: its result and counters."""
+    stats = SolveStats()
+    return _search(inst, fresh_bound(inst), cap, stats), stats
+
+
 @pytest.fixture
 def ex_bound(ex_instance):
     """A fresh RangeBound of the worked example: its caches start empty."""
-    F, _ = solve_diophantine_sparse(ex_instance.A, ex_instance.alphabet, ex_instance.sparsity)
-    return RangeBound(ex_instance, tree_leaves(F))
+    return fresh_bound(ex_instance)
 
 
 class TestProblemInstance:
@@ -169,7 +182,7 @@ class TestProblemInstance:
                 instance(G, inst0.Y)
 
     def test_radius_is_not_a_field(self, ex_Y, ex_G, ex_A, s3):
-        # the first objective cap is always derived from column 0 of Y
+        # the first objective cap is always derived from the root bound
         assert "radius" not in {f.name for f in dataclasses.fields(ProblemInstance)}
         with pytest.raises(TypeError):
             ProblemInstance(
@@ -454,10 +467,12 @@ class TestSettledLineTest:
         assert _settled_rows_dependent(*settle(feasible, rows, 2))
 
     def test_rank_dead_subtrees_cut_before_the_leaves(self, monkeypatch):
-        # sigma = 0.8 noise on S5 rows: branches that settle two rows on one
-        # line are cut before any leaf below them is rank-checked; each cut
-        # counts as a rank reject and a backtrack, and the answer is still
-        # the oracle's
+        # sigma = 0.8 noise on S5 rows, searched in one pass at an infinite
+        # cap: branches that settle two rows on one line are cut before any
+        # leaf below them is rank-checked; each cut counts as a rank reject
+        # and a backtrack, and the answer is still the oracle's.  (solve's
+        # caps, within CAP_GROWTH of the optimum, bound every such branch
+        # out here before it settles)
         spec = GenSpec(n_rows=2, n_cols=5, n_meas=3, alphabet=Alphabet((-2, -1, 0, 1, 2)),
                        n_constraints=2, sigma=0.8, seed=2)
         inst, _ = generate_instance(spec)
@@ -468,14 +483,14 @@ class TestSettledLineTest:
             return ranks[-1]
 
         monkeypatch.setattr(cils.assembler, "int_rank", recorded_rank)
-        res = solve(inst)
-        # the first rank is the feasible set's and the last the solution's
-        leaf_rejects = sum(r != inst.target_rank for r in ranks[1:-1])
-        assert res.stats.rank_rejects > leaf_rejects
-        assert res.stats.backtracks >= res.stats.rank_rejects
+        (obj, X), stats = search_once(inst, math.inf)
+        # every rank the pass computes is a leaf's
+        leaf_rejects = sum(r != inst.target_rank for r in ranks)
+        assert stats.rank_rejects > leaf_rejects
+        assert stats.backtracks >= stats.rank_rejects
         ref = oracle_solve(inst)
-        verify_solution(inst, res.X)
-        assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
+        verify_solution(inst, X)
+        assert abs(obj - ref.objective) <= 1e-9 * max(1.0, ref.objective)
 
 
 DEGENERATE_ALPHABETS = (
@@ -545,8 +560,8 @@ class TestSolve:
         assert res.objective <= 1e-18
         assert elapsed < 1.0
         assert res.stats.dioph_nodes > 0
-        # the first cap, from column 0's radius, holds the optimum and no
-        # doubling is needed; every output row is settled after three of the
+        # the first cap, above the root bound, holds the optimum and no
+        # growth is needed; every output row is settled after three of the
         # seven columns, so the node there is a leaf and reads no column
         assert res.stats.radius_expansions == 0
         assert res.stats.column_reads == 3
@@ -637,12 +652,11 @@ class TestSolve:
 
     def test_first_cap_clamped_below_float_max(self, s3):
         # ||Y - G X||^2 is finite but sits just under the float limit, so
-        # L d^2 from column 0's radius d overflows and the cap is clamped
+        # CAP_GROWTH times the root bound overflows and the cap is clamped
         y = math.sqrt(sys.float_info.max / 2)
         inst = ProblemInstance(Y=np.array([[y, y]]), G=np.array([[1.0]]),
                                A=IntMatrix(((1, -1),)), alphabet=s3, sparsity=2, target_rank=1)
-        d = babai_radius(inst.Y[:, 0], inst.lattice, (s3,))
-        assert inst.n_cols * d * d == math.inf
+        assert CAP_GROWTH * sum(fresh_bound(inst).root[2]) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(inst)
@@ -653,9 +667,11 @@ class TestSolve:
     @pytest.mark.parametrize("scale", [1.0, 1e12])
     def test_scaled_exact_fit_needs_no_cap_doubling(self, scale):
         # an exact fit with integer G: Y = G X holds in floats at any scale,
-        # so the optimum is 0 and column 0's radius is a cap no pass misses
-        # (at 1e12, before the decoder's absolute rounding slack: 40 doublings
-        # and 53 decodes); the rows settle after four of the seven columns
+        # so the optimum is 0 and the first cap, positive however small the
+        # root bound, is one no pass misses (at 1e12, with a cap from column
+        # 0's radius before the decoder's absolute rounding slack: 40
+        # doublings and 53 decodes); the rows settle after four of the seven
+        # columns
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
         inst0, planted = generate_instance(spec)
         G = np.round(4.0 * inst0.G) * scale
@@ -669,33 +685,96 @@ class TestSolve:
         assert res.stats.column_reads == 4
 
     def test_root_meets_the_bound_test(self):
-        # the first cap lies between the root's floors over columns 1.. and
-        # over all columns, so the first pass cuts the root before any read
-        # (a root test that left out column 0's floor read column 0 there
-        # and took no candidate)
+        # a cap between the root's floors over columns 1.. and over all
+        # columns cuts the root before any read (a root test that left out
+        # column 0's floor read column 0 there and took no candidate), and
+        # the pass returns the root bound as the least bound it pruned.
+        # solve's first cap, CAP_GROWTH times that bound, passes the root
+        # and finds the optimum at once
         spec = GenSpec(2, 5, 3, S3, sparsity=4, sigma=0.2, seed=150917237)
         inst, _ = generate_instance(spec)
+        floors = fresh_bound(inst).root[2]
+        cap = (sum(floors[1:]) + sum(floors)) / 2
+        assert sum(floors[1:]) < cap < sum(floors)
+        (least, X), stats = search_once(inst, cap)
+        assert (least, X) == (sum(floors), None)
+        assert (stats.column_reads, stats.bound_prunes, stats.rank_rejects) == (0, 1, 0)
         res = solve(inst)
         assert res.objective == 0.9702282964712629
-        assert res.stats.radius_expansions == 1
+        assert res.stats.radius_expansions == 0
         assert res.stats.column_reads == 3
-        assert res.stats.bound_prunes == 3
+        assert res.stats.bound_prunes == 2
         assert res.stats.rank_rejects == res.stats.backtracks == 0
 
     def test_read_stopped_at_its_first_candidate_is_a_bound_prune(self):
-        # column 0 fits exactly but the optimum is positive, so the first cap
-        # is doubled 34 times; each failed pass reads column 0 and its first
-        # candidate already reaches the cap: one bound prune, not a backtrack
+        # an exact fit scaled by 1e12 whose optimum, 1.19e-7, is rounding
+        # error: the floors' rounding allowance makes the root bound 0, so
+        # the first cap is the least one, and two passes find nothing; each
+        # read they make ends at a candidate that reaches the cap, a bound
+        # prune, not a backtrack (34 doublings of a cap from column 0's
+        # Babai radius)
         spec = GenSpec(n_rows=3, n_cols=7, n_meas=4, alphabet=S3, sigma=0.0, seed=3)
         inst0, _ = generate_instance(spec)
         inst = ProblemInstance(Y=inst0.Y * 1e12, G=inst0.G * 1e12, A=inst0.A, alphabet=S3,
                                sparsity=inst0.sparsity, target_rank=3)
         res = solve(inst)
         assert res.objective == 1.1920928955078125e-07
-        assert res.stats.radius_expansions == 34
-        assert res.stats.column_reads == 74
-        assert res.stats.bound_prunes == 73
+        assert res.stats.radius_expansions == 2
+        assert res.stats.column_reads == 10
+        assert res.stats.bound_prunes == 9
         assert res.stats.rank_rejects == res.stats.backtracks == 0
+
+    def test_every_cap_within_cap_growth_of_the_optimum(self, monkeypatch):
+        # each cap is CAP_GROWTH times a proven lower bound on the optimum:
+        # the root bound, then the least bound the failed pass pruned; so
+        # every failed pass runs at or below the optimum and the last one
+        # below CAP_GROWTH times it (caps from column 0's Babai radius ended
+        # at up to 3.18 times the optimum on the hard tier).  With Y = 0 the
+        # root bound is 0 and the caps start at rounding level: 8 growths
+        # (61 when the cap doubled)
+        search = cils.assembler._search
+        caps = []
+
+        def recorded_search(inst, bound, cap, stats):
+            caps.append(cap)
+            return search(inst, bound, cap, stats)
+
+        monkeypatch.setattr(cils.assembler, "_search", recorded_search)
+        specs = load_specs(HARD_TIER) + load_specs(STRETCH_TIER)
+        instances = [
+            generate_instance(dataclasses.replace(spec, seed=trial_seed))[0]
+            for spec in specs
+            for trial_seed in trial_seeds(spec)
+        ]
+        base, _ = generate_instance(GenSpec(3, 7, 4, S3, seed=0))
+        instances.append(ProblemInstance(Y=np.zeros_like(base.Y), G=base.G, A=base.A,
+                                         alphabet=S3, sparsity=base.sparsity, target_rank=3))
+        for inst in instances:
+            caps.clear()
+            res = solve(inst)
+            assert len(caps) == res.stats.radius_expansions + 1
+            assert all(cap <= res.objective for cap in caps[:-1])
+            assert caps[-1] <= CAP_GROWTH * res.objective * (1 + 1e-9)
+        assert res.stats.radius_expansions == 8
+        assert res.objective == pytest.approx(oracle_solve(instances[-1]).objective, rel=1e-9)
+
+    def test_cap_growth_past_the_float_limit_is_infinite(self, ex_instance, ex_X, monkeypatch):
+        # a failed pass whose least pruned bound is the largest float makes
+        # the next cap inf, so the loop still ends
+        search = cils.assembler._search
+        caps = []
+
+        def fails_first(inst, bound, cap, stats):
+            caps.append(cap)
+            if len(caps) == 1:
+                return sys.float_info.max, None
+            return search(inst, bound, cap, stats)
+
+        monkeypatch.setattr(cils.assembler, "_search", fails_first)
+        res = solve(ex_instance)
+        assert caps[1] == math.inf
+        assert res.X == ex_X
+        assert res.stats.radius_expansions == 1
 
     def test_hard_instance_within_decode_budget(self):
         # a hard-tier instance on which growing the cap by (d+1)^2 steps, in
@@ -711,7 +790,8 @@ class TestSolve:
     def test_hard_tier_objectives_and_decode_budget(self):
         # the 12 hard-tier instances (three shapes, four trial seeds each):
         # objectives pinned; every node with an unsettled row reads its
-        # column's candidates off the floor table, 1,072 reads (1,248 column
+        # column's candidates off the floor table, 1,025 reads (1,072 under
+        # caps from column 0's Babai radius, doubled; 1,248 column
         # decodes were asked for with a decoder in the search: 10,970 with
         # the per-instance suffix of column floors, 14,185 with rank-dead
         # subtrees cut at the leaves alone, 189,505 with the outside-span
@@ -734,14 +814,15 @@ class TestSolve:
                 rank_rejects += res.stats.rank_rejects
                 bound_prunes += res.stats.bound_prunes
                 nodes += res.stats.dioph_nodes
-        assert reads == 1_072
-        assert rank_rejects == 47
-        assert bound_prunes == 1_417
+        assert reads == 1_025
+        assert rank_rejects == 48
+        assert bound_prunes == 1_423
         assert nodes == 26_010
 
     def test_stretch_tier_objectives_and_decodes_asked(self):
         # the 4 stretch-tier instances: objectives pinned, and the column
-        # reads of the search (1,349 decodes asked for with a decoder in the
+        # reads of the search (1,266 under caps from column 0's Babai
+        # radius, doubled; 1,349 decodes asked for with a decoder in the
         # search; 93,681 with the per-instance suffix of column floors,
         # 126,318 with rank-dead subtrees cut at the leaves alone), the
         # prunes by reason and the Diophantine nodes
@@ -757,9 +838,9 @@ class TestSolve:
             rank_rejects += res.stats.rank_rejects
             bound_prunes += res.stats.bound_prunes
             nodes += res.stats.dioph_nodes
-        assert reads == 1_266
-        assert rank_rejects == 86
-        assert bound_prunes == 4_897
+        assert reads == 762
+        assert rank_rejects == 5
+        assert bound_prunes == 3_891
         assert nodes == 6_674
 
     def test_noisy_tier_trial_objective(self):
@@ -789,7 +870,8 @@ class TestSolve:
         # rank-checked and scored at once, so no column is read below it and
         # ranges that are all single rows are never narrowed.  The worked
         # example settles after three of its seven columns; the noisy S5
-        # instance cuts rank-dead branches and rank-checks leaves
+        # instance, in one pass at an infinite cap, cuts rank-dead branches
+        # and rank-checks leaves
         narrowed = []
 
         def recorded_prune(bound, spans, j, x_col):
@@ -803,21 +885,22 @@ class TestSolve:
         spec = GenSpec(n_rows=2, n_cols=5, n_meas=3, alphabet=Alphabet((-2, -1, 0, 1, 2)),
                        n_constraints=2, sigma=0.8, seed=2)
         inst, _ = generate_instance(spec)
-        res = solve(inst)
-        assert res.stats.rank_rejects > 0
-        assert res.objective == pytest.approx(oracle_solve(inst).objective, rel=1e-9)
+        (obj, _), stats = search_once(inst, math.inf)
+        assert stats.rank_rejects > 0
+        assert obj == pytest.approx(oracle_solve(inst).objective, rel=1e-9)
         spec = load_specs(HARD_TIER)[2]
         inst, _ = generate_instance(dataclasses.replace(spec, seed=trial_seeds(spec)[1]))
         assert solve(inst).objective == pytest.approx(23.041300291816217, rel=1e-9)
         assert narrowed and not any(narrowed)
 
     def test_decodes_reused_across_cap_doublings(self):
-        # the first cap is doubled three times here, and the passes read
-        # again the columns and candidate sets that earlier passes read
+        # the first cap grows once here (three doublings of a cap from
+        # column 0's Babai radius), and the second pass reads again the
+        # columns and candidate sets that the first read
         spec = GenSpec(n_rows=3, n_cols=6, n_meas=4, alphabet=S3, sigma=0.8, seed=3)
         inst, _ = generate_instance(spec)
         res = solve(inst)
-        assert res.stats.radius_expansions == 3
+        assert res.stats.radius_expansions == 1
         ref = oracle_solve(inst)
         assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
         verify_solution(inst, res.X)

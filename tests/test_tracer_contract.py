@@ -42,8 +42,9 @@ def test_traced_solve_counts_match_solve_stats(ex_instance):
 
 def test_traced_solve_sees_every_narrowing(ex_instance):
     # the search narrows its ranges through the module-level prune_with_column
-    # and derives column sets once, for the Babai cap; a narrowing step moved
-    # into a method would vanish from the traced benchmark's prune counts.
+    # and derives no column sets, since the first cap comes from the root
+    # bound, not a Babai radius; a narrowing step moved into a method would
+    # vanish from the traced benchmark's prune counts.
     # A column read either takes a candidate, and narrows once per taken
     # candidate, or is stopped by the bound at its first one
     tracer = load_tracer()
@@ -52,7 +53,7 @@ def test_traced_solve_sees_every_narrowing(ex_instance):
         with t.solve(ex_instance.target_rank):
             res = solve(ex_instance)
     metrics = tracer.pass_metrics(t.arrays(), [res.stats])
-    assert metrics["assembler.derive_calls"] == 1
+    assert metrics["assembler.derive_calls"] == 0
     assert res.stats.column_reads > 0
     assert metrics["assembler.prune_calls"] + res.stats.bound_prunes >= res.stats.column_reads
     assert metrics["assembler.backtracks"] == res.stats.rank_rejects
