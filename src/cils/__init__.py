@@ -31,7 +31,6 @@ from .harness import GenSpec, GenerationError, generate_instance, load_specs, ru
 from .intlin import IntMatrix, hermite_decomposition, hermite_normal_form, int_rank, validate_hnf
 from .oracle import BudgetExceededError, OracleBudget, oracle_F, oracle_solve, oracle_sphere
 from .spheredec import (
-    PreparedLattice,
     SphereCandidate,
     babai_radius,
     qr_positive,
@@ -50,7 +49,6 @@ __all__ = [
     "IntMatrix",
     "IntVector",
     "OracleBudget",
-    "PreparedLattice",
     "ProblemInstance",
     "SolveResult",
     "SolveStats",

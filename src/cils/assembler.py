@@ -93,18 +93,18 @@ import math
 import operator
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dioph import Alphabet, IntVector, solve_diophantine_sparse, tree_leaves
+from .dioph import Alphabet, IntVector, _check_kinds, solve_diophantine_sparse, tree_leaves
 from .intlin import IntMatrix, _integer, _trusted, int_rank
 from .spheredec import (
     ROUNDING_SLACK,
-    PreparedLattice,
     _as_matrix,
     _as_vector,
     babai_radius,
+    qr_positive,
     sphere_decode,
 )
 
@@ -127,6 +127,16 @@ BOUND_SLACK = 1e-9
 POINT_PRODUCTS_KEPT = 8
 
 
+def _check_full_rank(G: np.ndarray) -> None:
+    """Refuse, with ValueError, a G whose columns are numerically dependent (see qr_positive)."""
+    try:
+        qr_positive(G)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "G is numerically rank deficient; its columns must be independent"
+        ) from None
+
+
 class InfeasibleError(Exception):
     """No X satisfies all constraints; carries the attainable rank as evidence."""
 
@@ -142,11 +152,10 @@ class ProblemInstance:
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N), both ints (no bool).
-    G must have full
-    column rank, so M >= N, and every alphabet value must convert to a float
-    for the decoder, at a scale where ||Y - G X||^2 stays a finite float.
-    A must be an IntMatrix and alphabet an Alphabet.
-    The QR-factored G that every decode reuses is built once, as `lattice`.
+    G must have full column rank, so M >= N, and every alphabet value must
+    convert to a float for the decoder, at a scale where ||Y - G X||^2 stays
+    a finite float.  A must be an IntMatrix and alphabet an Alphabet.  Y and
+    G are kept as read-only float copies.
     """
 
     Y: np.ndarray
@@ -155,13 +164,9 @@ class ProblemInstance:
     alphabet: Alphabet
     sparsity: int
     target_rank: int
-    lattice: PreparedLattice = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, kind in (("A", IntMatrix), ("alphabet", Alphabet)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValueError(f"{name}: expected an {kind.__name__}, got {type(value).__name__}")
+        _check_kinds(self.A, self.alphabet)
         for name in ("sparsity", "target_rank"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         Y = np.array(self.Y, dtype=float)
@@ -189,12 +194,7 @@ class ProblemInstance:
             raise ValueError(
                 f"G is {m}x{n}; it needs at least as many rows (measurements) as columns"
             )
-        try:
-            lattice = PreparedLattice.from_matrix(G)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                "G is numerically rank deficient; its columns must be independent"
-            ) from None
+        _check_full_rank(G)
         if self.target_rank > self.A.cols:
             raise ValueError(
                 f"target rank {self.target_rank} exceeds row length {self.A.cols}"
@@ -219,9 +219,9 @@ class ProblemInstance:
                 "overflow the squared residual ||Y - G X||^2 in floats"
             )
         Y.setflags(write=False)
+        G.setflags(write=False)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "G", lattice.G)
-        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "G", G)
 
     @property
     def n_rows(self) -> int:
@@ -284,12 +284,13 @@ Spans = tuple[tuple[int, int], ...]
 class FloorTable:
     """Per column k of Y, every x in V_k^N with its cost, sorted by cost.
 
-    `alphabet` is the instance's and `allowed` an L x |S| boolean mask over
-    its values: V_k holds the values that row k of the mask allows, which
-    RangeBound takes from F, so none is empty.  held(k, mask) lists, in
-    sorted order, the points of V_k^N that `mask`, column k's group of a
-    node's mask (see the mask layout in the module docstring), holds, and
-    floor(k, mask) is the least floor over them: the floor of the first one.
+    G, Y and `alphabet` are the instance's and `allowed` an L x |S| boolean
+    mask over its values: V_k holds the values that row k of the mask
+    allows, which RangeBound takes from F, so none is empty.  held(k, mask)
+    lists, in sorted order, the points of V_k^N that `mask`, column k's
+    group of a node's mask (see the mask layout in the module docstring),
+    holds, and floor(k, mask) is the least floor over them: the floor of the
+    first one.
 
     The costs ||y_k - G x||^2 are computed directly from Y and G, in one pass
     over every column and every x in W^N, W the values some column allows,
@@ -313,11 +314,8 @@ class FloorTable:
     are shared by every column and every table of the shape.
     """
 
-    def __init__(
-        self, lattice: PreparedLattice, Y: np.ndarray, alphabet: Alphabet, allowed
-    ) -> None:
-        Gm = lattice.G
-        m, n = Gm.shape
+    def __init__(self, G: np.ndarray, Y: np.ndarray, alphabet: Alphabet, allowed) -> None:
+        m, n = G.shape
         n_cols = Y.shape[1]
         allowed = np.asarray(allowed, dtype=bool)
         taken = tuple(np.flatnonzero(allowed.any(axis=0)).tolist())
@@ -330,7 +328,7 @@ class FloorTable:
             )
         values = alphabet.values
         digits, codes, points = _point_product(values, taken, n)
-        r = Y[:, :, None] - (Gm @ np.asarray(values, dtype=float)[digits])[:, None, :]
+        r = Y[:, :, None] - (G @ np.asarray(values, dtype=float)[digits])[:, None, :]
         cost = np.einsum("ikp,ikp->kp", r, r)
         # points outside V_k^N sort last, with an infinite cost
         inside = allowed[:, digits].all(axis=1)
@@ -426,7 +424,7 @@ class RangeBound:
         self.row_masks = [sum(map(operator.getitem, bits, row)) for row in self.rows]
         whole = functools.reduce(operator.or_, self.row_masks)
         allowed = [[whole >> (k * field + t) & 1 for t in range(width)] for k in range(n_cols)]
-        self.table = FloorTable(instance.lattice, instance.Y, instance.alphabet, allowed)
+        self.table = FloorTable(instance.G, instance.Y, instance.alphabet, allowed)
         self.shifts = range(0, field, width)
         self.full = (1 << field) - 1
         self.splits: dict[tuple[int, int, int], dict[int, tuple[tuple[int, int], int]]] = {}
@@ -742,14 +740,19 @@ def solve_ils_eq(
     (ties broken lexicographically).  mode "heuristic" first sphere-decodes
     without the linear and sparsity constraints, then returns the feasible
     vector nearest the decoded point; it is cheaper but only an approximation.
-    Either mode raises ValueError for a non-finite y or G.
+    Either mode raises ValueError for a non-finite y or G, an A that is no
+    IntMatrix or an alphabet that is no Alphabet; mode "heuristic" also for
+    a G whose columns are numerically dependent, which mode "exact" solves.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_kinds(A, alphabet)
     G = _as_matrix(G)
     if G.shape[1] != A.cols:
         raise ValueError(f"G must have {A.cols} columns, got shape {G.shape}")
     y = _as_vector(y, G.shape[0])
+    if mode == "heuristic":
+        _check_full_rank(G)
     F, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
     feasible = tree_leaves(F)
     if not feasible:
@@ -762,10 +765,9 @@ def solve_ils_eq(
 
         return min(feasible, key=key)
     sets = (alphabet,) * G.shape[1]
-    lattice = PreparedLattice.from_matrix(G)
-    d = babai_radius(y, lattice, sets)
+    d = babai_radius(y, G, sets)
     # a decode at the Babai radius always holds the snapped point (see babai_radius)
-    anchor = sphere_decode(y, lattice, d, sets)[0].x
+    anchor = sphere_decode(y, G, d, sets)[0].x
     return min(
         feasible,
         key=lambda v: (sum((a - b) ** 2 for a, b in zip(anchor, v)), v),

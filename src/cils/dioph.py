@@ -101,6 +101,13 @@ class Alphabet:
         return len(self.values)
 
 
+def _check_kinds(A, alphabet) -> None:
+    """Refuse, naming the field, an A that is no IntMatrix or an alphabet that is no Alphabet."""
+    for name, value, kind in (("A", A, IntMatrix), ("alphabet", alphabet, Alphabet)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name}: expected an {kind.__name__}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class DiophStats:
     """nodes_visited counts every candidate node examined, kept or pruned.
@@ -354,9 +361,11 @@ def solve_diophantine_sparse(
     order; see tree_leaves), and stats with the number of candidate nodes
     examined (see DiophStats; counted before any filter) and |F|.  The zero
     vector is always feasible, so F is nonempty unless the alphabet
-    excludes 0.  A max_nonzeros that is not an integer (a bool included) or
+    excludes 0.  An A that is no IntMatrix, an alphabet that is no
+    Alphabet, or a max_nonzeros that is not an integer (a bool included) or
     lies outside 0..L raises ValueError.
     """
+    _check_kinds(A, alphabet)
     max_nonzeros = _integer(max_nonzeros, "max_nonzeros")
     if max_nonzeros < 0:
         raise ValueError("nonzero budget must be nonnegative")

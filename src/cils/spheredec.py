@@ -4,14 +4,14 @@ sphere_decode finds every x with x_i in a given candidate set per coordinate
 (a sequence of one Alphabet per coordinate) and ||y - G x|| <= d, by
 QR-reducing G and enumerating coordinates last-to-first inside the shrinking
 interval each partial residual allows.
-The QR factors live in a PreparedLattice, built and validated once per G; a
-caller that decodes many vectors against one G passes the prepared lattice,
-and a raw matrix is prepared on the spot.  Boundary policy: a point counts as
-inside when its squared distance is at most d^2 * (1 + 1e-9); internal
-pruning runs at radius d * (1 + 1e-9) + tau, with tau proportional to
-eps * ||y|| (see ROUNDING_SLACK), so no boundary point is lost to accumulation
-error at any scale of y, and reported distances are recomputed directly from
-y and G.
+Each call validates and factors its own G.  The solver decodes nothing:
+its floor table computes every cost straight from G and Y, and this module
+is the table's reference in tests and the helper of solve_ils_eq's heuristic
+mode.  Boundary policy: a point counts as inside when its squared distance
+is at most d^2 * (1 + 1e-9); internal pruning runs at radius
+d * (1 + 1e-9) + tau, with tau proportional to eps * ||y|| (see
+ROUNDING_SLACK), so no boundary point is lost to accumulation error at any
+scale of y, and reported distances are recomputed directly from y and G.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import bisect
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,51 +83,37 @@ def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Q[:, :n] * sign, Q[:, n:], R * sign[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class PreparedLattice:
-    """G with its QR factors, computed and checked once for many decodes.
+def _factored(y, G, sets: Sequence[Alphabet]):
+    """(G, y, Q2, Q1^T y, rows of R) for a decode of y against G over `sets`.
 
-    G = Q1 R with Q1t = Q1^T and R the positive-diagonal triangle; the rows of
-    Q2t = Q2^T span the complement of G's columns, so ||Q2t y||^2 is the part
-    of ||y - G x||^2 that no x can remove.  R is held as rows of Python floats
-    so the decoder's recursion does no numpy scalar indexing.
+    G and y come back as float arrays, Q1^T y and R's rows as Python floats,
+    so the decoder's recursion does no numpy scalar indexing.  Raises like
+    qr_positive for G, and ValueError for a y of the wrong length or with a
+    non-finite entry, or for a count of sets other than G's column count.
     """
-
-    G: np.ndarray
-    Q1t: np.ndarray
-    Q2t: np.ndarray
-    R: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_matrix(cls, G) -> "PreparedLattice":
-        """Validate and factor G; raises like qr_positive."""
-        G = np.array(G, dtype=float)
-        Q1, Q2, R = qr_positive(G)
-        G.setflags(write=False)
-        return cls(G, Q1.T, Q2.T, tuple(map(tuple, R.tolist())))
+    G = _as_matrix(G)
+    Q1, Q2, R = qr_positive(G)
+    y = _as_vector(y, G.shape[0])
+    if len(sets) != G.shape[1]:
+        raise ValueError(f"need {G.shape[1]} candidate sets, got {len(sets)}")
+    return G, y, Q2, (Q1.T @ y).tolist(), R.tolist()
 
 
 def sphere_decode(y, G, radius: float, sets: Sequence[Alphabet]) -> list[SphereCandidate]:
     """All x in the candidate product with ||y - G x|| <= radius.
 
-    `sets` holds one Alphabet per coordinate of x.  G is a matrix or a
-    PreparedLattice; a matrix is prepared on every call, so callers decoding
-    many vectors against one G should prepare it once.
+    `sets` holds one Alphabet per coordinate of x.  G must be a tall matrix
+    of full column rank; it is factored on every call (see qr_positive).
     Exhaustive within the boundary policy above.  Results are sorted by
     (dist2, x) and each dist2 is the directly recomputed ||y - G x||^2, not
     the accumulated partial sum.
     """
-    lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
-    Gm = lat.G
-    m, n = Gm.shape
-    y = _as_vector(y, m)
     radius = float(radius)
     if not radius > 0.0 or not math.isfinite(radius):
         raise ValueError("radius must be positive and finite")
-    if len(sets) != n:
-        raise ValueError(f"need {n} candidate sets, got {len(sets)}")
-    z = (lat.Q1t @ y).tolist()
-    w = lat.Q2t @ y
+    Gm, y, Q2, z, R = _factored(y, G, sets)
+    m, n = Gm.shape
+    w = Q2.T @ y
     # squared distance from y to the column span; fixed for every candidate
     base = float(w @ w)
     include = radius * radius * (1.0 + BOUNDARY_SLACK)
@@ -139,7 +124,6 @@ def sphere_decode(y, G, radius: float, sets: Sequence[Alphabet]) -> list[SphereC
     out: list[SphereCandidate] = []
     if base > prune:
         return out
-    R = lat.R
     values = [s.values for s in sets]
     x = [0] * n
 
@@ -185,19 +169,15 @@ def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:
     to the smaller value); the returned radius is the residual r0 of that
     point plus 1e-9 (1 + r0), so it is at least 1e-9, and a sphere decode at
     this radius always sees at least that point, at any scale of y and G,
-    since the decoder's pruning slack grows with ||y||.  A raw G is prepared
-    by PreparedLattice.from_matrix, so a wide G raises ValueError and a
-    rank-deficient one numpy.linalg.LinAlgError.
+    since the decoder's pruning slack grows with ||y||.  G is factored as
+    for sphere_decode, so a wide G raises ValueError and a rank-deficient
+    one numpy.linalg.LinAlgError.
     """
-    lat = G if isinstance(G, PreparedLattice) else PreparedLattice.from_matrix(G)
-    m, n = lat.G.shape
-    y = _as_vector(y, m)
-    if len(sets) != n:
-        raise ValueError(f"need {n} candidate sets, got {len(sets)}")
-    z = (lat.Q1t @ y).tolist()
+    G, y, _, z, R = _factored(y, G, sets)
+    n = G.shape[1]
     xls = [0.0] * n
     for i in range(n - 1, -1, -1):
-        row = lat.R[i]
+        row = R[i]
         b = z[i]
         for k in range(i + 1, n):
             b -= row[k] * xls[k]
@@ -205,6 +185,6 @@ def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:
     snapped = tuple(
         min(sets[i].values, key=lambda v: (abs(v - xls[i]), v)) for i in range(n)
     )
-    r = y - lat.G @ np.array(snapped, dtype=float)
+    r = y - G @ np.array(snapped, dtype=float)
     r0 = math.sqrt(float(np.dot(r, r)))
     return r0 + 1e-9 * (1.0 + r0)

@@ -23,7 +23,6 @@ from cils import (
     Alphabet,
     InfeasibleError,
     IntMatrix,
-    PreparedLattice,
     ProblemInstance,
     generate_instance,
     GenSpec,
@@ -31,6 +30,7 @@ from cils import (
     objective,
     oracle_F,
     oracle_solve,
+    qr_positive,
     solve,
     solve_diophantine_sparse,
     solve_ils_eq,
@@ -195,10 +195,6 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ex_instance.G[0, 0] = 99.0
 
-    def test_lattice_is_built_from_g(self, ex_instance):
-        assert ex_instance.lattice.G is ex_instance.G
-        assert len(ex_instance.lattice.R) == ex_instance.n_rows
-
 
 def survivors(bound, spans):
     """The feasible rows each output row can still take."""
@@ -268,7 +264,7 @@ def bound_over(rows, n_rows):
         alphabet=Alphabet(tuple(sorted({v for row in rows for v in row}))),
         n_rows=n_rows,
         n_cols=n_cols,
-        lattice=PreparedLattice.from_matrix(np.eye(n_rows)),
+        G=np.eye(n_rows),
         Y=np.zeros((n_rows, n_cols)),
     )
     return RangeBound(instance, sorted(rows))
@@ -938,8 +934,9 @@ class TestBoundEdgeShapes:
             spec = GenSpec(n_rows=n, n_cols=6, n_meas=n, alphabet=S3, n_constraints=3,
                            sigma=0.5, seed=300 + k)
             inst, _ = generate_instance(spec)
-            assert inst.lattice.Q2t.shape[0] == 0
-            assert not (inst.lattice.Q2t @ inst.Y).any()
+            Q2 = qr_positive(inst.G)[1]
+            assert Q2.shape[1] == 0
+            assert not (Q2.T @ inst.Y).any()
             F, _ = solve_diophantine_sparse(inst.A, inst.alphabet, inst.sparsity)
             bound = RangeBound(inst, tree_leaves(F))
             assert sum(bound.root[2]) > 0.0
@@ -965,7 +962,7 @@ class TestBoundEdgeShapes:
             spec = GenSpec(n_rows=n, n_cols=7, n_meas=n + 2, alphabet=S3, n_constraints=3,
                            sigma=0.8, seed=400 + k)
             inst, _ = generate_instance(spec)
-            assert np.sum((inst.lattice.Q2t @ inst.Y) ** 2) > 0.0
+            assert np.sum((qr_positive(inst.G)[1].T @ inst.Y) ** 2) > 0.0
             prunes += self.assert_oracle_optimal(inst).stats.bound_prunes
         assert prunes > 0
 
@@ -1241,6 +1238,36 @@ class TestSolveIlsEq:
     def test_unknown_mode_rejected(self, ex_A, s3):
         with pytest.raises(ValueError):
             solve_ils_eq(np.zeros(7), np.eye(7), ex_A, s3, 4, mode="fast")
+
+    def test_rank_deficient_g_rejected_by_heuristic_mode(self):
+        # the decode needs G's QR factors; exact mode scans F and needs none
+        G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        A = IntMatrix(((1, -1, 0),))
+        y = np.array([1.0, 1.0, 0.0])
+        with pytest.raises(ValueError) as refused:
+            ProblemInstance(Y=np.zeros((3, 3)), G=G, A=A, alphabet=S3, sparsity=3, target_rank=3)
+        with pytest.raises(ValueError, match="rank deficient") as heuristic:
+            solve_ils_eq(y, G, A, S3, 3, mode="heuristic")
+        assert str(heuristic.value) == str(refused.value)
+        assert solve_ils_eq(y, G, A, S3, 3, mode="exact") == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda A, alphabet: solve_ils_eq(np.zeros(7), np.eye(7), A, alphabet, 4),
+            lambda A, alphabet: solve_diophantine_sparse(A, alphabet, 4),
+        ],
+        ids=["solve_ils_eq", "solve_diophantine_sparse"],
+    )
+    @pytest.mark.parametrize("field, kind, got", [("A", "IntMatrix", "list"),
+                                                  ("alphabet", "Alphabet", "tuple")])
+    def test_wrongly_typed_matrix_or_alphabet_rejected(self, ex_A, s3, call, field, kind, got):
+        # refused by name, as ProblemInstance refuses them, before A.cols or
+        # alphabet.values is read
+        args = {"A": ex_A, "alphabet": s3}
+        args[field] = [list(row) for row in ex_A.entries] if field == "A" else s3.values
+        with pytest.raises(ValueError, match=f"{field}: expected an {kind}, got {got}"):
+            call(**args)
 
 
 class TestVerifySolution:

@@ -1,11 +1,11 @@
 """Sphere decoder tests: pinned worked-example columns plus oracle equivalence.
 
 The independent reference is oracle_sphere (full product scan, no QR); the
-worked example pins the decoded first and second columns at radius 0.5.  A
-prepared lattice and the raw matrix must decode identically.  The floor
-table is checked against an itertools.product scan, and the points it holds
-for a set of candidate values against the decoder; tables of one shape,
-which share their point product, against tables built from scratch.
+worked example pins the decoded first and second columns at radius 0.5.
+The floor table is checked against an itertools.product scan, and the
+points it holds for a set of candidate values against the decoder; tables
+of one shape, which share their point product, against tables built from
+scratch.
 """
 
 import inspect
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from cils import (
     Alphabet,
     IntMatrix,
-    PreparedLattice,
     ProblemInstance,
     babai_radius,
     oracle_sphere,
@@ -93,35 +92,15 @@ class TestQrPositive:
         with pytest.raises(ValueError):
             qr_positive(np.array([[np.nan], [1.0]]))
 
-
-class TestPreparedLattice:
-    def test_factors_match_qr_positive(self):
-        rng = np.random.default_rng(7)
-        G = rng.standard_normal((5, 3))
-        lat = PreparedLattice.from_matrix(G)
-        Q1, Q2, R = qr_positive(G)
-        assert np.array_equal(lat.Q1t, Q1.T)
-        assert np.array_equal(lat.Q2t, Q2.T)
-        assert np.array_equal(np.array(lat.R), R)
-        assert all(type(v) is float for row in lat.R for v in row)
-
-    def test_matrix_is_a_locked_copy(self):
-        G = np.eye(2)
-        lat = PreparedLattice.from_matrix(G)
-        G[0, 0] = 5.0
-        assert lat.G[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            lat.G[0, 0] = 2.0
-
     def test_outside_span_is_least_squares_residual(self):
-        # ||Q2t y||^2 is the least-squares residual: sphere_decode's `base`
+        # ||Q2^T y||^2 is the least-squares residual: sphere_decode's `base`
         rng = np.random.default_rng(9)
         G = rng.standard_normal((6, 2))
         Y = rng.standard_normal((6, 4))
         fit = G @ np.linalg.lstsq(G, Y, rcond=None)[0]
         want = np.sum((Y - fit) ** 2, axis=0)
-        assert np.allclose(np.sum((PreparedLattice.from_matrix(G).Q2t @ Y) ** 2, axis=0), want)
-        assert PreparedLattice.from_matrix(np.eye(3)).Q2t.shape == (0, 3)
+        assert np.allclose(np.sum((qr_positive(G)[1].T @ Y) ** 2, axis=0), want)
+        assert qr_positive(np.eye(3))[1].shape == (3, 0)
 
 
 class TestSphereDecode:
@@ -163,9 +142,7 @@ class TestSphereDecode:
         rng = np.random.default_rng(21)
         for _ in range(40):
             y, G, sets, d = random_decode_case(rng)
-            raw = sphere_decode(y, G, d, sets)
-            assert_same_candidates(raw, oracle_sphere(y, G, d, sets))
-            assert_same_candidates(sphere_decode(y, PreparedLattice.from_matrix(G), d, sets), raw)
+            assert_same_candidates(sphere_decode(y, G, d, sets), oracle_sphere(y, G, d, sets))
 
     def test_gapped_alphabet(self):
         rng = np.random.default_rng(31)
@@ -199,7 +176,7 @@ class TestSphereDecode:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         G = rng.standard_normal((m, n))
         try:
-            lattice = PreparedLattice.from_matrix(G)
+            qr_positive(G)
         except np.linalg.LinAlgError:
             assume(False)
         x0 = np.array([rng.choice(vals) for vals in value_sets], dtype=float)
@@ -207,7 +184,7 @@ class TestSphereDecode:
         y = G @ x0 + sigma * rng.standard_normal(m)
         R = data.draw(st.floats(0.05, 4.0), label="R")
         sets = tuple(Alphabet(tuple(vals)) for vals in value_sets)
-        wide = sphere_decode(y, lattice, R, sets)
+        wide = sphere_decode(y, G, R, sets)
         if wide and data.draw(st.booleans(), label="r on a point"):
             # r^2 may round below the point's dist2; the slack keeps it
             r = math.sqrt(data.draw(st.sampled_from(wide), label="point").dist2)
@@ -215,7 +192,7 @@ class TestSphereDecode:
         else:
             r = R * data.draw(st.floats(1e-3, 1.0), label="r / R")
         include = r * r * (1.0 + BOUNDARY_SLACK)
-        narrow = sphere_decode(y, lattice, r, sets)
+        narrow = sphere_decode(y, G, r, sets)
         assert narrow == [c for c in wide if c.dist2 <= include]
 
     def test_permutation_consistency(self):
@@ -334,13 +311,11 @@ class TestBabaiRadius:
             snapped = [min(S5.values, key=lambda v: (abs(v - xls[i]), v)) for i in range(n)]
             r = y - G @ np.array(snapped, dtype=float)
             want = math.sqrt(float(r @ r))
-            lattice = PreparedLattice.from_matrix(G)
-            got = babai_radius(y, lattice, sets)
+            got = babai_radius(y, G, sets)
             assert abs(got - want) <= 1e-8 * (1.0 + want)
-            assert babai_radius(y, G, sets) == got
 
     def test_raw_matrix_must_be_tall_full_rank(self):
-        # a raw G is prepared like sphere_decode's, with no least-squares fallback
+        # G is factored as for sphere_decode, with no least-squares fallback
         y = np.ones(2)
         with pytest.raises(ValueError):
             babai_radius(y, np.ones((2, 3)), (S3,) * 3)
@@ -394,12 +369,12 @@ class TestColumnFloors:
         sigma = data.draw(st.sampled_from([0.0, 0.1, 1.0, 3.0]), label="sigma")
         G = rng.standard_normal((m, n))
         try:
-            lattice = PreparedLattice.from_matrix(G)
+            qr_positive(G)
         except np.linalg.LinAlgError:
             assume(False)
         Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
-        table = FloorTable(lattice, Y, Alphabet(values), allowed)
-        outside = np.sum((lattice.Q2t @ Y) ** 2, axis=0)
+        table = FloorTable(G, Y, Alphabet(values), allowed)
+        outside = np.sum((qr_positive(G)[1].T @ Y) ** 2, axis=0)
         for k, mask in enumerate(allowed):
             vk = [v for v, ok in zip(values, mask) if ok]
             full = table.floor(k, row_mask(values, [vk] * n))
@@ -430,7 +405,7 @@ class TestColumnFloors:
         assert value_sets[0] == [0]
         feasible = tree_leaves(F)
         _, _, floors = RangeBound(inst, feasible).root
-        outside = np.sum((inst.lattice.Q2t @ inst.Y) ** 2, axis=0)
+        outside = np.sum((qr_positive(inst.G)[1].T @ inst.Y) ** 2, axis=0)
         want = [brute_floor(inst.G, inst.Y[:, k], [vk] * 2) for k, vk in enumerate(value_sets)]
         for got, b, o in zip(floors, want, outside):
             assert_floor_matches(got, b, o)
@@ -440,13 +415,13 @@ class TestColumnFloors:
     def test_square_lattice_has_positive_floors(self):
         # G = I, y = 0.5 per entry: no point of {-1, 1}^2 comes closer than
         # 0.5^2 per coordinate, though the outside-span residual is 0
-        lattice = PreparedLattice.from_matrix(np.eye(2))
+        G = np.eye(2)
         Y = np.full((2, 3), 0.5)
         allowed = np.array([[True, False, True], [True, True, True], [False, False, True]])
-        table = FloorTable(lattice, Y, S3, allowed)
+        table = FloorTable(G, Y, S3, allowed)
         for k in range(3):
             assert 0.5 * (1.0 - 1e-8) <= table.floor(k, (1 << 6) - 1) <= 0.5
-        assert lattice.Q2t.shape == (0, 2)
+        assert qr_positive(G)[1].shape == (2, 0)
 
     @pytest.mark.parametrize("scale", [1e6, 1e9, 1e12, 1e15])
     def test_floor_never_exceeds_decoder_distance(self, scale):
@@ -460,12 +435,11 @@ class TestColumnFloors:
         for m, n in [(4, 3), (6, 5), (8, 6)]:
             for _ in range(30):
                 G = scale * rng.standard_normal((m, n))
-                lattice = PreparedLattice.from_matrix(G)
                 x = rng.integers(-1, 2, size=n)
                 y0 = G @ x
                 y = y0 + 1e-12 * np.linalg.norm(y0) * rng.standard_normal(m)
-                table = FloorTable(lattice, y[:, None], S3, np.ones((1, 3), dtype=bool))
-                r = y - lattice.G @ x.astype(float)
+                table = FloorTable(G, y[:, None], S3, np.ones((1, 3), dtype=bool))
+                r = y - G @ x.astype(float)
                 got = table.floor(0, row_mask(values, [[v] for v in x.tolist()]))
                 assert got <= float(np.dot(r, r))
 
@@ -473,18 +447,18 @@ class TestColumnFloors:
         # 70 values: coordinate 1's field starts at bit 70, so codes and
         # masks exceed every fixed-width integer and must stay exact
         values = tuple(range(-35, 35))
-        lattice = PreparedLattice.from_matrix(np.array([[1.0, 0.2], [0.0, 1.0], [0.3, 0.1]]))
+        G = np.array([[1.0, 0.2], [0.0, 1.0], [0.3, 0.1]])
         Y = np.array([[30.4, -2.0], [33.6, 1.0], [-1.0, 9.0]])
         allowed = np.zeros((2, 70), dtype=bool)
         allowed[0, 60:] = True
         allowed[1, :5] = allowed[1, 64:] = True
-        table = FloorTable(lattice, Y, Alphabet(values), allowed)
+        table = FloorTable(G, Y, Alphabet(values), allowed)
         assert max(table.codes[0]).bit_length() > 64
         for k in range(2):
             vk = [v for v, ok in zip(values, allowed[k]) if ok]
             for sets in ([vk, vk], [vk[-2:], vk[:1]], [vk[:3], vk[-1:]]):
                 got = table.floor(k, row_mask(values, sets))
-                assert_floor_matches(got, brute_floor(lattice.G, Y[:, k], sets))
+                assert_floor_matches(got, brute_floor(G, Y[:, k], sets))
 
     @given(st.data())
     def test_held_points_below_a_bound_are_the_decode(self, data):
@@ -506,11 +480,11 @@ class TestColumnFloors:
         sigma = data.draw(st.sampled_from([0.0, 0.1, 1.0, 3.0]), label="sigma")
         G = rng.standard_normal((m, n))
         try:
-            lattice = PreparedLattice.from_matrix(G)
+            qr_positive(G)
         except np.linalg.LinAlgError:
             assume(False)
         Y = G @ rng.uniform(-7.0, 7.0, (n, n_cols)) + sigma * rng.standard_normal((m, n_cols))
-        table = FloorTable(lattice, Y, Alphabet(values), allowed)
+        table = FloorTable(G, Y, Alphabet(values), allowed)
         k = data.draw(st.integers(0, n_cols - 1), label="k")
         vk = [v for v, ok in zip(values, allowed[k]) if ok]
         value_sets = [
@@ -523,7 +497,7 @@ class TestColumnFloors:
         i = data.draw(st.integers(0, len(levels) - 1), label="level")
         b = (levels[i] + levels[i + 1]) / 2 if i + 1 < len(levels) else 2.0 * levels[i] + 1.0
         sets = tuple(Alphabet(tuple(vals)) for vals in value_sets)
-        got = sphere_decode(Y[:, k], lattice, math.sqrt(b), sets)
+        got = sphere_decode(Y[:, k], G, math.sqrt(b), sets)
         assert_same_candidates(got, [SphereCandidate(x, cost) for cost, x in held if cost < b])
 
     def test_tied_points_keep_the_decoder_order(self):
@@ -532,10 +506,10 @@ class TestColumnFloors:
         rng = np.random.default_rng(3)
         alphabet = Alphabet((-2, -1, 0, 1, 2))
         for n in (1, 2, 3):
-            lattice = PreparedLattice.from_matrix(rng.standard_normal((n + 1, n)))
-            table = FloorTable(lattice, np.zeros((n + 1, 1)), alphabet, np.ones((1, 5), dtype=bool))
+            G = rng.standard_normal((n + 1, n))
+            table = FloorTable(G, np.zeros((n + 1, 1)), alphabet, np.ones((1, 5), dtype=bool))
             assert table.costs[0][1] == table.costs[0][2]
-            want = sphere_decode(np.zeros(n + 1), lattice, math.sqrt(table.costs[0][-1]) + 1.0,
+            want = sphere_decode(np.zeros(n + 1), G, math.sqrt(table.costs[0][-1]) + 1.0,
                                  (alphabet,) * n)
             assert table.points[0] == [c.x for c in want]
 
@@ -548,9 +522,9 @@ class TestPointProduct:
     def args(self, seed, allowed):
         # a random G and Y for a 3-row table over VALUES with these columns
         rng = np.random.default_rng(seed)
-        lattice = PreparedLattice.from_matrix(rng.standard_normal((4, 3)))
+        G = rng.standard_normal((4, 3))
         Y = rng.standard_normal((4, len(allowed)))
-        return lattice, Y, Alphabet(self.VALUES), np.array(allowed, dtype=bool)
+        return G, Y, Alphabet(self.VALUES), np.array(allowed, dtype=bool)
 
     def test_shared_product_matches_a_fresh_build(self):
         # two tables with W = {-2, 0, 1} and N = 3 but different G, Y and
@@ -580,7 +554,7 @@ class TestPointProduct:
 
     def test_cache_size_is_a_constant(self):
         assert _point_product.cache_info().maxsize == POINT_PRODUCTS_KEPT
-        assert list(inspect.signature(FloorTable).parameters) == ["lattice", "Y", "alphabet", "allowed"]
+        assert list(inspect.signature(FloorTable).parameters) == ["G", "Y", "alphabet", "allowed"]
         for n in range(1, POINT_PRODUCTS_KEPT + 3):
             _point_product((0, 1), (0, 1), n)
         assert _point_product.cache_info().currsize == POINT_PRODUCTS_KEPT
