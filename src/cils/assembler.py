@@ -78,8 +78,9 @@ proves the optimum is at least the least value among its bound prunes,
 which is at least the cap.  Each cap is CAP_GROWTH times a proven lower
 bound on the optimum (Korf's iterative-deepening A*): the first is CAP_GROWTH
 times the root bound LB(0), at least L * MIN_CAP_PER_COLUMN so that a zero
-bound still gives a positive cap, clamped below the largest finite float;
-each later one is CAP_GROWTH times the least bound the failed pass pruned.
+bound still gives a positive cap; each later one is CAP_GROWTH times the
+least bound the failed pass pruned.  A cap past the largest float is inf,
+and a pass at inf cannot fail: ProblemInstance keeps every objective finite.
 So the pass that succeeds runs below CAP_GROWTH times the optimum, every cap
 grows by at least CAP_GROWTH, and no cap depends on which column is searched
 first.
@@ -91,13 +92,20 @@ import functools
 import itertools
 import math
 import operator
-import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dioph import Alphabet, IntVector, _check_kinds, solve_diophantine_sparse, tree_leaves
+from .dioph import (
+    Alphabet,
+    IntVector,
+    _budget,
+    _check_kinds,
+    _float_magnitude,
+    solve_diophantine_sparse,
+    tree_leaves,
+)
 from .intlin import IntMatrix, _integer, _trusted, int_rank
 from .spheredec import (
     ROUNDING_SLACK,
@@ -127,16 +135,6 @@ BOUND_SLACK = 1e-9
 POINT_PRODUCTS_KEPT = 8
 
 
-def _check_full_rank(G: np.ndarray) -> None:
-    """Refuse, with ValueError, a G whose columns are numerically dependent (see qr_positive)."""
-    try:
-        qr_positive(G)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "G is numerically rank deficient; its columns must be independent"
-        ) from None
-
-
 class InfeasibleError(Exception):
     """No X satisfies all constraints; carries the attainable rank as evidence."""
 
@@ -152,10 +150,11 @@ class ProblemInstance:
     Y is M x L, G is M x N, A is P x L; every row of the N x L unknown X must
     lie in the alphabet, satisfy A x = 0, and carry at most `sparsity`
     nonzeros, and X must have rank `target_rank` (= N), both ints (no bool).
-    G must have full column rank, so M >= N, and every alphabet value must
-    convert to a float for the decoder, at a scale where ||Y - G X||^2 stays
-    a finite float.  A must be an IntMatrix and alphabet an Alphabet.  Y and
-    G are kept as read-only float copies.
+    Y and G must be 2-D and finite, and G tall of full column rank (see
+    qr_positive).  Every alphabet value must convert to a float for the
+    decoder, at a scale where ||Y - G X||^2 stays a finite float.  A must be
+    an IntMatrix and alphabet an Alphabet.  Each refusal is a ValueError
+    naming its field.  Y and G are kept as read-only float copies.
     """
 
     Y: np.ndarray
@@ -167,14 +166,10 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         _check_kinds(self.A, self.alphabet)
-        for name in ("sparsity", "target_rank"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        Y = np.array(self.Y, dtype=float)
-        G = np.array(self.G, dtype=float)
-        if Y.ndim != 2 or G.ndim != 2:
-            raise ValueError("Y and G must be 2-D")
-        if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(G))):
-            raise ValueError("Y and G entries must be finite")
+        object.__setattr__(self, "target_rank", _integer(self.target_rank, "target_rank"))
+        object.__setattr__(self, "sparsity", _budget(self.sparsity, self.A.cols, "sparsity"))
+        Y = _as_matrix(self.Y, "Y").copy()
+        G = _as_matrix(self.G, "G").copy()
         if Y.shape[0] != G.shape[0]:
             raise ValueError(
                 f"Y has {Y.shape[0]} rows but G has {G.shape[0]}; both hold one measurement per row"
@@ -187,28 +182,12 @@ class ProblemInstance:
             raise ValueError(
                 f"target rank {self.target_rank} must equal the column count of G ({G.shape[1]})"
             )
-        if self.target_rank < 1:
-            raise ValueError("target rank must be at least 1")
-        m, n = G.shape
-        if m < n:
-            raise ValueError(
-                f"G is {m}x{n}; it needs at least as many rows (measurements) as columns"
-            )
-        _check_full_rank(G)
+        qr_positive(G)
         if self.target_rank > self.A.cols:
             raise ValueError(
                 f"target rank {self.target_rank} exceeds row length {self.A.cols}"
             )
-        if not 0 <= self.sparsity <= self.A.cols:
-            raise ValueError(
-                f"sparsity budget {self.sparsity} must lie in [0, {self.A.cols}]"
-            )
-        try:
-            s_max = max(abs(float(self.alphabet.values[0])), abs(float(self.alphabet.values[-1])))
-        except OverflowError:
-            raise ValueError(
-                "alphabet values must lie within the float range; the decoder works in floats"
-            ) from None
+        s_max = _float_magnitude(self.alphabet)
         # every entry of Y - G X is at most s_max * sum|G| + max|Y| in size,
         # so this bounds ||Y - G X||^2 and every partial cost the decoder sums
         with np.errstate(over="ignore"):
@@ -230,10 +209,6 @@ class ProblemInstance:
     @property
     def n_cols(self) -> int:
         return self.A.cols
-
-    @property
-    def n_meas(self) -> int:
-        return self.Y.shape[0]
 
 
 @dataclass
@@ -688,10 +663,10 @@ def _search(
 def solve(instance: ProblemInstance) -> SolveResult:
     """Global minimizer of ||Y - G X||_F^2 under all instance constraints.
 
-    Searches in passes (see _search): the first below CAP_GROWTH times the
-    root bound LB(0), floored at L * MIN_CAP_PER_COLUMN and clamped below
-    the largest finite float, and each later one below CAP_GROWTH times the
-    least bound the pass before it pruned, until a pass finds a leaf.
+    Searches in passes (see _search), each below CAP_GROWTH times a proven
+    lower bound on the optimum: first the root bound LB(0), floored at
+    L * MIN_CAP_PER_COLUMN, then the least bound the pass before it pruned,
+    until a pass finds a leaf.
     Raises InfeasibleError when the feasible rows cannot reach the target
     rank; the exception's feasible_rank reports what was attainable.  Raises
     ValueError when the floor table of the bound would hold more than
@@ -711,16 +686,13 @@ def solve(instance: ProblemInstance) -> SolveResult:
             feasible_rank=span_rank,
         )
     bound = RangeBound(instance, feasible)
-    # LB(0) is at most the optimum, but CAP_GROWTH times it can pass the
-    # largest float when ||Y - G X||^2 sits at the float limit
-    lower = max(sum(bound.root[2]), instance.n_cols * MIN_CAP_PER_COLUMN)
-    obj, X = _search(instance, bound, min(CAP_GROWTH * lower, sys.float_info.max), stats)
+    # obj is a proven lower bound on the optimum, LB(0) first; a cap past
+    # the largest float is inf, where a pass cannot fail (module docstring)
+    obj, X = max(sum(bound.root[2]), instance.n_cols * MIN_CAP_PER_COLUMN), None
     while X is None:
-        # obj, the least bound the failed pass pruned, is at most the
-        # optimum; a growth past the largest float gives inf, which ends
-        # the loop
-        stats.radius_expansions += 1
         obj, X = _search(instance, bound, CAP_GROWTH * obj, stats)
+        if X is None:
+            stats.radius_expansions += 1
     verify_solution(instance, X)
     stats.wall_time = time.perf_counter() - t0
     return SolveResult(X=X, objective=obj, stats=stats)
@@ -740,19 +712,22 @@ def solve_ils_eq(
     (ties broken lexicographically).  mode "heuristic" first sphere-decodes
     without the linear and sparsity constraints, then returns the feasible
     vector nearest the decoded point; it is cheaper but only an approximation.
-    Either mode raises ValueError for a non-finite y or G, an A that is no
-    IntMatrix or an alphabet that is no Alphabet; mode "heuristic" also for
-    a G whose columns are numerically dependent, which mode "exact" solves.
+    Either mode raises ValueError, naming the field, for a non-finite y or
+    G, an A that is no IntMatrix or an alphabet that is no Alphabet.  Mode
+    "heuristic" factors G twice, for its Babai radius before it enumerates
+    and for the decode, so it also refuses a G that qr_positive refuses,
+    one with numerically dependent columns included, which "exact" solves.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_kinds(A, alphabet)
-    G = _as_matrix(G)
+    G = _as_matrix(G, "G")
     if G.shape[1] != A.cols:
         raise ValueError(f"G must have {A.cols} columns, got shape {G.shape}")
-    y = _as_vector(y, G.shape[0])
+    y = _as_vector(y, G.shape[0], "y")
     if mode == "heuristic":
-        _check_full_rank(G)
+        sets = (alphabet,) * A.cols
+        d = babai_radius(y, G, sets)
     F, _ = solve_diophantine_sparse(A, alphabet, max_nonzeros)
     feasible = tree_leaves(F)
     if not feasible:
@@ -764,8 +739,6 @@ def solve_ils_eq(
             return float(np.dot(r, r)), v
 
         return min(feasible, key=key)
-    sets = (alphabet,) * G.shape[1]
-    d = babai_radius(y, G, sets)
     # a decode at the Babai radius always holds the snapped point (see babai_radius)
     anchor = sphere_decode(y, G, d, sets)[0].x
     return min(

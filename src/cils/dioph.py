@@ -101,11 +101,34 @@ class Alphabet:
         return len(self.values)
 
 
+def _check_kind(value, kind: type, name: str) -> None:
+    """Refuse, with a ValueError naming `name`, a value that is no `kind`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name}: expected an {kind.__name__}, got {type(value).__name__}")
+
+
 def _check_kinds(A, alphabet) -> None:
     """Refuse, naming the field, an A that is no IntMatrix or an alphabet that is no Alphabet."""
-    for name, value, kind in (("A", A, IntMatrix), ("alphabet", alphabet, Alphabet)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name}: expected an {kind.__name__}, got {type(value).__name__}")
+    _check_kind(A, IntMatrix, "A")
+    _check_kind(alphabet, Alphabet, "alphabet")
+
+
+def _budget(value, length: int, name: str) -> int:
+    """A nonzero budget as an int in 0..length; anything else raises ValueError naming `name`."""
+    value = _integer(value, name)
+    if not 0 <= value <= length:
+        raise ValueError(f"{name}: nonzero budget {value} must lie in [0, {length}]")
+    return value
+
+
+def _float_magnitude(alphabet: Alphabet) -> float:
+    """Largest |value| of the alphabet as a float; ValueError if a value has no float."""
+    try:
+        return max(abs(float(alphabet.values[0])), abs(float(alphabet.values[-1])))
+    except OverflowError:
+        raise ValueError(
+            "alphabet values must lie within the float range; the decoder works in floats"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -366,13 +389,7 @@ def solve_diophantine_sparse(
     lies outside 0..L raises ValueError.
     """
     _check_kinds(A, alphabet)
-    max_nonzeros = _integer(max_nonzeros, "max_nonzeros")
-    if max_nonzeros < 0:
-        raise ValueError("nonzero budget must be nonnegative")
-    if max_nonzeros > A.cols:
-        raise ValueError(
-            f"nonzero budget {max_nonzeros} exceeds vector length {A.cols}"
-        )
+    max_nonzeros = _budget(max_nonzeros, A.cols, "max_nonzeros")
     n_cols = A.cols
     H = hermite_normal_form(A)
     # nonzero HNF rows in the order the walk meets their pivots, then a zero

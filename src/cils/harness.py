@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .assembler import ProblemInstance, SolveResult, solve, verify_solution
-from .dioph import Alphabet, IntVector
+from .dioph import Alphabet, IntVector, _check_kind, _float_magnitude
 from .intlin import IntMatrix, _integer, hermite_decomposition, int_rank
 
 _MAX_ATTEMPTS = 50
@@ -63,8 +63,7 @@ class GenSpec:
     trials: int = 5
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alphabet, Alphabet):
-            raise ValueError(f"alphabet: expected an Alphabet, got {type(self.alphabet).__name__}")
+        _check_kind(self.alphabet, Alphabet, "alphabet")
         for name in _INTEGER_FIELDS:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "sigma", _noise_scale(self.sigma, "sigma"))
@@ -78,10 +77,7 @@ class GenSpec:
             raise ValueError("need at least one constraint row")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        try:
-            float(self.alphabet.values[0]), float(self.alphabet.values[-1])
-        except OverflowError:
-            raise ValueError("alphabet values must lie within the float range") from None
+        _float_magnitude(self.alphabet)
         if self.trials < 1:
             raise ValueError("need at least one trial")
 

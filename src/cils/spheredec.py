@@ -42,22 +42,22 @@ class SphereCandidate(NamedTuple):
     dist2: float
 
 
-def _as_matrix(G) -> np.ndarray:
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {G.shape}")
-    if not np.isfinite(G).all():
-        raise ValueError("matrix entries must be finite")
-    return G
+def _as_matrix(M, name: str) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"{name}: expected a 2-D matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name}: entries must be finite")
+    return M
 
 
-def _as_vector(y, length: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != length:
-        raise ValueError(f"expected a length-{length} vector, got {y.shape[0]}")
-    if not np.isfinite(y).all():
-        raise ValueError("vector entries must be finite")
-    return y
+def _as_vector(v, length: int, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if v.shape[0] != length:
+        raise ValueError(f"{name}: expected a length-{length} vector, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name}: entries must be finite")
+    return v
 
 
 def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,20 +65,24 @@ def qr_positive(G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (Q1, Q2, R): G = Q1 R, columns of Q2 span the orthogonal
     complement, R is square upper triangular with strictly positive diagonal.
-    Raises numpy.linalg.LinAlgError when G is numerically rank deficient,
-    i.e. some pivot of R is at rounding level.
+    The one check of G for every caller: a G that is not 2-D and finite,
+    or has no columns or fewer rows than columns, raises ValueError, and a
+    numerically rank-deficient one (a pivot of R at rounding level)
+    numpy.linalg.LinAlgError, itself a ValueError.
     """
-    G = _as_matrix(G)
+    G = _as_matrix(G, "G")
     m, n = G.shape
     if n < 1 or m < n:
-        raise ValueError(f"need a tall matrix (rows >= cols >= 1), got {m}x{n}")
+        raise ValueError(f"G is {m}x{n}; it needs a column and at least as many rows as columns")
     Q, R_full = np.linalg.qr(G, mode="complete")
     R = R_full[:n]
     diag = np.diag(R)
     size = np.abs(diag)
     tol = max(m, n) * np.finfo(float).eps * max(float(size.max()), 1.0)
     if float(size.min()) <= tol:
-        raise np.linalg.LinAlgError("matrix is numerically rank deficient")
+        raise np.linalg.LinAlgError(
+            "G is numerically rank deficient; its columns must be independent"
+        )
     sign = np.where(diag < 0, -1.0, 1.0)
     return Q[:, :n] * sign, Q[:, n:], R * sign[:, None]
 
@@ -91,9 +95,9 @@ def _factored(y, G, sets: Sequence[Alphabet]):
     qr_positive for G, and ValueError for a y of the wrong length or with a
     non-finite entry, or for a count of sets other than G's column count.
     """
-    G = _as_matrix(G)
     Q1, Q2, R = qr_positive(G)
-    y = _as_vector(y, G.shape[0])
+    G = np.asarray(G, dtype=float)
+    y = _as_vector(y, G.shape[0], "y")
     if len(sets) != G.shape[1]:
         raise ValueError(f"need {G.shape[1]} candidate sets, got {len(sets)}")
     return G, y, Q2, (Q1.T @ y).tolist(), R.tolist()
@@ -102,8 +106,8 @@ def _factored(y, G, sets: Sequence[Alphabet]):
 def sphere_decode(y, G, radius: float, sets: Sequence[Alphabet]) -> list[SphereCandidate]:
     """All x in the candidate product with ||y - G x|| <= radius.
 
-    `sets` holds one Alphabet per coordinate of x.  G must be a tall matrix
-    of full column rank; it is factored on every call (see qr_positive).
+    `sets` holds one Alphabet per coordinate of x.  G is factored on every
+    call (see qr_positive), and y must be finite, one entry per row of G.
     Exhaustive within the boundary policy above.  Results are sorted by
     (dist2, x) and each dist2 is the directly recomputed ||y - G x||^2, not
     the accumulated partial sum.
@@ -169,9 +173,8 @@ def babai_radius(y, G, sets: Sequence[Alphabet]) -> float:
     to the smaller value); the returned radius is the residual r0 of that
     point plus 1e-9 (1 + r0), so it is at least 1e-9, and a sphere decode at
     this radius always sees at least that point, at any scale of y and G,
-    since the decoder's pruning slack grows with ||y||.  G is factored as
-    for sphere_decode, so a wide G raises ValueError and a rank-deficient
-    one numpy.linalg.LinAlgError.
+    since the decoder's pruning slack grows with ||y||.  y and G are
+    checked and factored as for sphere_decode (see qr_positive).
     """
     G, y, _, z, R = _factored(y, G, sets)
     n = G.shape[1]

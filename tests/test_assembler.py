@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cils.assembler
+import cils.spheredec
 from cils import (
     Alphabet,
     InfeasibleError,
@@ -83,8 +84,30 @@ class TestProblemInstance:
             ProblemInstance(Y=ex_Y[:, :5], G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
 
     def test_sparsity_above_length_rejected(self, ex_Y, ex_G, ex_A, s3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sparsity: nonzero budget 9 must lie in \[0, 7\]$"):
             ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=9, target_rank=3)
+
+    def test_negative_sparsity_rejected(self, ex_Y, ex_G, ex_A, s3):
+        with pytest.raises(ValueError, match=r"^sparsity: nonzero budget -1 must lie in \[0, 7\]$"):
+            ProblemInstance(Y=ex_Y, G=ex_G, A=ex_A, alphabet=s3, sparsity=-1, target_rank=3)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["Y", "G"])
+    def test_non_finite_matrix_rejected_by_name(self, ex_Y, ex_G, ex_A, s3, field, bad):
+        arrays = {"Y": ex_Y.copy(), "G": ex_G.copy()}
+        arrays[field][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{field}: entries must be finite$"):
+            ProblemInstance(A=ex_A, alphabet=s3, sparsity=4, target_rank=3, **arrays)
+
+    def test_one_dimensional_y_rejected_by_name(self, ex_Y, ex_G, ex_A, s3):
+        with pytest.raises(ValueError, match=r"^Y: expected a 2-D matrix, got shape \(7,\)$"):
+            ProblemInstance(Y=ex_Y[0], G=ex_G, A=ex_A, alphabet=s3, sparsity=4, target_rank=3)
+
+    def test_g_without_columns_rejected_by_name(self, ex_Y, ex_A, s3):
+        # a target rank of 0 matches G's column count, so qr_positive refuses G
+        with pytest.raises(ValueError, match=r"^G is 4x0; .*at least as many rows"):
+            ProblemInstance(Y=ex_Y, G=np.zeros((4, 0)), A=ex_A, alphabet=s3, sparsity=4,
+                            target_rank=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -646,16 +669,25 @@ class TestSolve:
         ref = oracle_solve(inst)
         assert abs(res.objective - ref.objective) <= 1e-9 * max(1.0, ref.objective)
 
-    def test_first_cap_clamped_below_float_max(self, s3):
+    def test_first_cap_past_float_max_is_infinite(self, s3, monkeypatch):
         # ||Y - G X||^2 is finite but sits just under the float limit, so
-        # CAP_GROWTH times the root bound overflows and the cap is clamped
+        # CAP_GROWTH times the root bound overflows and the first cap is inf;
+        # that pass cannot fail, since the instance keeps every objective finite
         y = math.sqrt(sys.float_info.max / 2)
         inst = ProblemInstance(Y=np.array([[y, y]]), G=np.array([[1.0]]),
                                A=IntMatrix(((1, -1),)), alphabet=s3, sparsity=2, target_rank=1)
         assert CAP_GROWTH * sum(fresh_bound(inst).root[2]) == math.inf
+        search, caps = cils.assembler._search, []
+
+        def spy(inst, bound, cap, stats):
+            caps.append(cap)
+            return search(inst, bound, cap, stats)
+
+        monkeypatch.setattr(cils.assembler, "_search", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = solve(inst)
+        assert caps == [math.inf]
         assert res.stats.radius_expansions == 0
         assert res.objective == oracle_solve(inst).objective
         verify_solution(inst, res.X)
@@ -1250,6 +1282,22 @@ class TestSolveIlsEq:
             solve_ils_eq(y, G, A, S3, 3, mode="heuristic")
         assert str(heuristic.value) == str(refused.value)
         assert solve_ils_eq(y, G, A, S3, 3, mode="exact") == (0, 0, 0)
+
+    def test_heuristic_mode_factors_g_twice(self, ex_A, s3, monkeypatch):
+        # once for the Babai radius and once for the decode; the radius
+        # refuses a G that qr_positive refuses, so no third check is needed
+        factor, calls = qr_positive, []
+
+        def counted(G):
+            calls.append(G)
+            return factor(G)
+
+        monkeypatch.setattr(cils.spheredec, "qr_positive", counted)
+        monkeypatch.setattr(cils.assembler, "qr_positive", counted)
+        rng = np.random.default_rng(4)
+        solve_ils_eq(rng.standard_normal(8), rng.standard_normal((8, 7)), ex_A, s3, 4,
+                     mode="heuristic")
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "call",

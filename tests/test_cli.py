@@ -130,10 +130,22 @@ class TestSolveCommand:
         assert capsys.readouterr().err.startswith(f"error: {path}: key 'd0': unknown key")
 
     def test_sparsity_above_length_exits_1(self, tmp_path, tiny_doc, capsys):
+        # the path holds the test's own name, so the field is read after it
         tiny_doc["K"] = 9
         path = write_instance(tmp_path / "bad.json", tiny_doc)
         assert main(["solve", path]) == 1
-        assert "sparsity" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid instance: sparsity: nonzero budget 9 ")
+
+    @pytest.mark.parametrize("key", ["Y", "G"])
+    def test_infinite_matrix_entry_exits_1(self, tmp_path, tiny_doc, capsys, key):
+        # json reads the bare token Infinity as a float, so the instance refuses it
+        tiny_doc[key][0][0] = float("inf")
+        path = write_instance(tmp_path / "inf.json", tiny_doc)
+        assert "Infinity" in Path(path).read_text(encoding="utf-8")
+        assert main(["solve", path]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid instance: {key}: entries must be finite\n"
 
     @pytest.mark.parametrize(
         "Y, G, reason",

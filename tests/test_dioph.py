@@ -234,8 +234,12 @@ class TestSolveDiophantine:
         assert tree_leaves(tree) == [(-1, 1), (0, 0), (1, -1)]
 
     def test_budget_above_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_nonzeros: nonzero budget 3 must lie in \[0, 2\]$"):
             solve_diophantine_sparse(IntMatrix(((1, 1),)), S3, 3)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_nonzeros: nonzero budget -1 must lie in \[0, 2\]$"):
+            solve_diophantine_sparse(IntMatrix(((1, 1),)), S3, -1)
 
     @pytest.mark.parametrize("budget", [True, 2.0, 2.5, "2"])
     def test_non_integer_budget_rejected(self, budget):
